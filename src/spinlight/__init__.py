@@ -26,7 +26,7 @@ from .physics import (
     kappa2_theory,
 )
 from .experiment import (
-    CycleRecord,
+    CycleSet,
     CycleStats,
     SweepRow,
     conditional_variance,
@@ -61,7 +61,7 @@ __all__ = [
     "PhysicalParams", "Calibration", "calibrate", "coupling_a",
     "faraday_theta", "kappa2_theory", "kappa2_experimental", "css_variance",
     "beta_from_t2",
-    "CycleRecord", "CycleStats", "SweepRow", "run_cycles", "optimal_alpha",
+    "CycleSet", "CycleStats", "SweepRow", "run_cycles", "optimal_alpha",
     "conditional_variance", "cycle_stats", "theory_curves",
     "entanglement_verdict", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",

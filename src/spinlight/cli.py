@@ -11,12 +11,15 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import experiment, gaussian, physics, protocols, timedomain
+from .output import _fmt, write_csv
 
 DEFAULT_THETA_GRID = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
 
@@ -46,6 +49,11 @@ class RunConfig:
     theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            reals = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in reals if isinstance(v, float)):
+                raise UsageError(f"{f.name} must be finite")
         if self.cycles < 2:
             raise UsageError("cycles must be >= 2")
         if self.parallel < 1:
@@ -71,14 +79,24 @@ class RunConfig:
         return cal.kappa2
 
 
-_FLOAT_KEYS = ("kappa2", "beta", "theta_deg", "power_mw", "pulse_ms",
-               "detuning_mhz", "n_atoms", "gain", "squeeze_r")
-_INT_KEYS = ("cycles", "seed", "parallel")
-_STR_KEYS = ("out", "protocol")
+def _parse_grid(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _field_parsers() -> dict:
+    """Text-to-value parser of each RunConfig field, taken from its type hint."""
+    parsers = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        if typing.get_origin(hint) is tuple:
+            parsers[name] = _parse_grid
+        else:  # a plain type, or `type | None`
+            parsers[name] = (typing.get_args(hint) or (hint,))[0]
+    return parsers
 
 
 def read_config(path: str) -> dict:
     """Parse a flat key = value file; '#' starts a comment."""
+    parsers = _field_parsers()
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -89,17 +107,10 @@ def read_config(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
+            if key not in parsers:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                elif key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _STR_KEYS:
-                    values[key] = text
-                elif key == "theta_grid":
-                    values[key] = tuple(float(v) for v in text.split(","))
-                else:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = parsers[key](text)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
@@ -112,10 +123,10 @@ def write_config(config: RunConfig, path: str) -> None:
             value = getattr(config, f.name)
             if value is None:
                 continue
-            if f.name == "theta_grid":
-                value = ",".join(format(v, ".17g") for v in value)
+            if isinstance(value, tuple):
+                value = ",".join(map(_fmt, value))
             elif isinstance(value, float):
-                value = format(value, ".17g")
+                value = _fmt(value)
             fh.write(f"{f.name} = {value}\n")
 
 
@@ -126,16 +137,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             config = replace(config, **read_config(args.config))
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
-    overrides = {name: getattr(args, name) for name in
-                 _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + ("theta_grid",)
-                 if getattr(args, name, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name) is not None}
     config = replace(config, **overrides)
     config.validate()
     return config
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def cmd_calibrate(config: RunConfig) -> int:
@@ -170,11 +176,11 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     if not config.theta_grid:
         raise UsageError("theta grid must be nonempty")
+    if config.out is None:
+        raise UsageError("sweep requires --out for the CSV")
     rows = experiment.density_sweep(config.theta_grid, config.beta,
                                     config.cycles, config.seed,
                                     parallel=config.parallel)
-    if config.out is None:
-        raise UsageError("sweep requires --out for the CSV")
     experiment.write_sweep_csv(rows, config.out)
     print(f"wrote {len(rows)} sweep rows to {config.out}")
     return 0
@@ -284,10 +290,8 @@ def cmd_protocol(config: RunConfig) -> int:
     print(f"mean_displacement_error_x = {_fmt(ex)}")
     print(f"mean_displacement_error_p = {_fmt(ep)}")
     if record and result.runs is not None:
-        with open(config.out, "w", newline="") as fh:
-            fh.write("run_index," + ",".join(result.run_columns) + "\n")
-            for i, row in enumerate(result.runs):
-                fh.write(f"{i}," + ",".join(_fmt(v) for v in row) + "\n")
+        write_csv(config.out, ("run_index", *result.run_columns),
+                  (np.arange(result.n_runs), *result.runs.T))
     return 0
 
 
@@ -300,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinlight",
                      description="Two-cell QND entanglement simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = _field_parsers()
     for name, help_text in (
             ("calibrate", "report coupling constants for lab parameters"),
             ("run", "Monte Carlo measurement cycles at one operating point"),
@@ -307,30 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("timedomain", "cross-check stochastic engine vs Gaussian engine"),
             ("protocol", "run teleport/swap/memory on the Gaussian engine")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--kappa2", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--theta-deg", dest="theta_deg", type=float, default=None)
-        p.add_argument("--power-mw", dest="power_mw", type=float, default=None)
-        p.add_argument("--pulse-ms", dest="pulse_ms", type=float, default=None)
-        p.add_argument("--detuning-mhz", dest="detuning_mhz", type=float, default=None)
-        p.add_argument("--n-atoms", dest="n_atoms", type=float, default=None)
-        p.add_argument("--cycles", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--parallel", type=int, default=None)
-        p.add_argument("--protocol", type=str, default=None)
-        p.add_argument("--gain", type=float, default=None)
-        p.add_argument("--squeeze-r", dest="squeeze_r", type=float, default=None)
-        p.add_argument("--theta-grid", dest="theta_grid", type=_parse_grid, default=None)
+        p.add_argument("--config")
+        for key, parse in parsers.items():
+            p.add_argument("--" + key.replace("_", "-"), type=parse)
     return parser
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad theta grid {text!r}") from exc
 
 
 _COMMANDS = {

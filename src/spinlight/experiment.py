@@ -21,13 +21,15 @@ byte-identical results.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from . import gaussian
+from .output import _fmt, write_csv
 from .physics import kappa2_experimental
 
 #: Cycles simulated per RNG stream; fixed so parallel scheduling cannot
@@ -39,18 +41,8 @@ class CalibrationError(RuntimeError):
     """First-pulse noise is inconsistent with shot + projection noise."""
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """Outcomes of one measurement cycle (canonical units)."""
-
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-
-
 class CycleSet:
-    """Column store of cycle outcomes; iterates as CycleRecord values."""
+    """Column store of cycle outcomes (canonical units), one array per channel."""
 
     __slots__ = ("a1", "b1", "a2", "b2")
 
@@ -59,25 +51,6 @@ class CycleSet:
 
     def __len__(self) -> int:
         return self.a1.size
-
-    def __getitem__(self, i: int) -> CycleRecord:
-        return CycleRecord(float(self.a1[i]), float(self.b1[i]),
-                           float(self.a2[i]), float(self.b2[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
-Records = Union[CycleSet, Iterable[CycleRecord]]
-
-
-def _columns(records: Records) -> CycleSet:
-    if isinstance(records, CycleSet):
-        return records
-    rows = list(records)
-    return CycleSet(np.array([r.a1 for r in rows]), np.array([r.b1 for r in rows]),
-                    np.array([r.a2 for r in rows]), np.array([r.b2 for r in rows]))
 
 
 @dataclass(frozen=True)
@@ -118,8 +91,9 @@ class SweepRow:
 
 
 def _simulate_chunk(kappa2: float, beta: float, seed: int, chunk: int,
-                    count: int, electronics_std: float) -> np.ndarray:
-    """Simulate `count` cycles of chunk index `chunk`; returns (count, 4)."""
+                    out: np.ndarray, electronics_std: float) -> None:
+    """Fill `out`, shape (count, 4), with the cycles of chunk index `chunk`."""
+    count = len(out)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
     kappa = np.sqrt(kappa2)
     z = np.sqrt(0.5) * rng.standard_normal((count, 8))
@@ -130,22 +104,20 @@ def _simulate_chunk(kappa2: float, beta: float, seed: int, chunk: int,
     decay = np.sqrt(1.0 - beta**2)
     p_a2 = beta * p_a + decay * w_a
     p_b2 = beta * p_b + decay * w_b
-    out = np.empty((count, 4))
     out[:, 0] = l1a + kappa * p_a
     out[:, 1] = l1b + kappa * p_b
     out[:, 2] = l2a + kappa * p_a2
     out[:, 3] = l2b + kappa * p_b2
     if electronics_std > 0.0:
         out += electronics_std * elec
-    return out
 
 
 def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
                parallel: int = 1, electronics_std: float = 0.0) -> CycleSet:
     """Simulate the two-pulse measurement cycle n_cycles times.
 
-    Deterministic for a given seed at every parallelism level: chunk results
-    are computed from per-chunk generators and concatenated in chunk order.
+    Deterministic for a given seed at every parallelism level: each chunk
+    draws from its own generator into its own rows of one output array.
     """
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
@@ -154,57 +126,58 @@ def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
 
-    chunks = [(c, start, min(CYCLE_CHUNK, n_cycles - start))
-              for c, start in enumerate(range(0, n_cycles, CYCLE_CHUNK))]
-    if parallel > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            parts = list(pool.map(
-                _simulate_chunk,
-                [kappa2] * len(chunks), [beta] * len(chunks), [seed] * len(chunks),
-                [c for c, _, _ in chunks], [m for _, _, m in chunks],
-                [electronics_std] * len(chunks)))
-    else:
-        parts = [_simulate_chunk(kappa2, beta, seed, c, m, electronics_std)
-                 for c, _, m in chunks]
-    data = np.vstack(parts)
+    data = np.empty((n_cycles, 4))
+    blocks = [data[start:start + CYCLE_CHUNK] for start in range(0, n_cycles, CYCLE_CHUNK)]
+    simulate = partial(_simulate_chunk, kappa2, beta, seed,
+                       electronics_std=electronics_std)
+    # numpy's generators release the GIL while drawing, so threads scale; the
+    # pool starts no thread at parallel 1, where the builtin map runs inline
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        chunk_map = map if parallel == 1 else pool.map
+        list(chunk_map(simulate, range(len(blocks)), blocks))  # consumed to raise errors
     return CycleSet(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
-def optimal_alpha(records: Records) -> float:
+def _weight(num: float, denom: float) -> float:
+    """num / denom, or 0 with a warning when the first-pulse outcomes are all zero."""
+    if denom == 0.0:
+        warnings.warn("degenerate cycle data: first-pulse outcomes are all zero",
+                      RuntimeWarning, stacklevel=3)
+        return 0.0
+    return num / denom
+
+
+def optimal_alpha(records: CycleSet) -> float:
     """Closed-form minimizer of the pooled conditional variance.
 
     alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2): one weight shared by both
     lock-in channels.  Degenerate data (all first-pulse outcomes zero) gives
     0 with a warning.
     """
-    cols = _columns(records)
-    if len(cols) < 2:
+    if len(records) < 2:
         raise ValueError("need at least two cycles")
-    denom = float(np.dot(cols.a1, cols.a1) + np.dot(cols.b1, cols.b1))
-    if denom == 0.0:
-        warnings.warn("degenerate cycle data: first-pulse outcomes are all zero",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    num = float(np.dot(cols.a1, cols.a2) + np.dot(cols.b1, cols.b2))
-    return num / denom
+    a1, b1, a2, b2 = records.a1, records.b1, records.a2, records.b2
+    return _weight(float(np.dot(a1, a2) + np.dot(b1, b2)),
+                   float(np.dot(a1, a1) + np.dot(b1, b1)))
 
 
-def per_channel_alphas(records: Records) -> tuple[float, float]:
-    """Diagnostic per-channel weights (the production path pools channels)."""
-    cols = _columns(records)
-    alpha_a = float(np.dot(cols.a1, cols.a2) / np.dot(cols.a1, cols.a1))
-    alpha_b = float(np.dot(cols.b1, cols.b2) / np.dot(cols.b1, cols.b1))
-    return alpha_a, alpha_b
+def per_channel_alphas(records: CycleSet) -> tuple[float, float]:
+    """Diagnostic per-channel weights (the production path pools channels).
+
+    A channel whose first-pulse outcomes are all zero gets 0 with a warning.
+    """
+    a1, b1, a2, b2 = records.a1, records.b1, records.a2, records.b2
+    return (_weight(float(np.dot(a1, a2)), float(np.dot(a1, a1))),
+            _weight(float(np.dot(b1, b2)), float(np.dot(b1, b1))))
 
 
-def conditional_variance(records: Records, alpha: float) -> float:
+def conditional_variance(records: CycleSet, alpha: float) -> float:
     """(1/(N-1)) sum((a2 - alpha a1)^2 + (b2 - alpha b1)^2)."""
-    cols = _columns(records)
-    n = len(cols)
+    n = len(records)
     if n < 2:
         raise ValueError("need at least two cycles")
-    res_a = cols.a2 - alpha * cols.a1
-    res_b = cols.b2 - alpha * cols.b1
+    res_a = records.a2 - alpha * records.a1
+    res_b = records.b2 - alpha * records.b1
     return float((np.dot(res_a, res_a) + np.dot(res_b, res_b)) / (n - 1))
 
 
@@ -221,19 +194,18 @@ def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
     return cond, alpha
 
 
-def cycle_stats(records: Records, kappa2: float, beta: float) -> CycleStats:
+def cycle_stats(records: CycleSet, kappa2: float, beta: float) -> CycleStats:
     """Estimate variances, the optimal weight, and the entanglement verdict.
 
     Pulse variances are raw second moments over N-1: outcomes have zero mean
     by construction and this matches the conditional-variance normalization,
     so cond_var <= var2 + var1 alpha*^2 holds identically.
     """
-    cols = _columns(records)
-    n = len(cols)
-    var1 = float((np.dot(cols.a1, cols.a1) + np.dot(cols.b1, cols.b1)) / (n - 1))
-    var2 = float((np.dot(cols.a2, cols.a2) + np.dot(cols.b2, cols.b2)) / (n - 1))
-    alpha = optimal_alpha(cols)
-    cond = conditional_variance(cols, alpha)
+    n = len(records)
+    var1 = float((np.dot(records.a1, records.a1) + np.dot(records.b1, records.b1)) / (n - 1))
+    var2 = float((np.dot(records.a2, records.a2) + np.dot(records.b2, records.b2)) / (n - 1))
+    alpha = optimal_alpha(records)
+    cond = conditional_variance(records, alpha)
     bound = 1.0 + kappa2
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
@@ -316,29 +288,16 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     return rows
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def write_cycles_csv(records: Records, path: str) -> None:
+def write_cycles_csv(records: CycleSet, path: str) -> None:
     """cycle_index, a1, b1, a2, b2 with round-trip-exact reals."""
-    cols = _columns(records)
-    with open(path, "w", newline="") as fh:
-        fh.write("cycle_index,a1,b1,a2,b2\n")
-        for i in range(len(cols)):
-            fh.write(f"{i},{_fmt(cols.a1[i])},{_fmt(cols.b1[i])},"
-                     f"{_fmt(cols.a2[i])},{_fmt(cols.b2[i])}\n")
+    write_csv(path, ("cycle_index", "a1", "b1", "a2", "b2"),
+              (np.arange(len(records)), records.a1, records.b1, records.a2, records.b2))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
     """SweepRow columns in declared order."""
-    fields = ["theta_deg", "kappa2", "pn1", "pn2", "cond_var_minus_shot",
-              "alpha_star", "theory_cond", "theory_alpha",
-              "theory_cond_ideal", "theory_alpha_ideal"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(getattr(row, f)) for f in fields) + "\n")
+    names = [f.name for f in fields(SweepRow)]
+    write_csv(path, names, np.array([[getattr(row, name) for row in rows] for name in names]))
 
 
 def summary_text(stats: CycleStats) -> str:

@@ -10,7 +10,7 @@ coupling constant ``a`` negative for blue detuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Exact SI defining constants (2019 redefinition).
 PLANCK_J_S = 6.62607015e-34
@@ -43,6 +43,9 @@ class PhysicalParams:
     n_atoms: float = 1.0e11  # F=4 population per cell
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("wavelength_nm", "linewidth_MHz", "power_mW", "pulse_ms",
                      "area_eff_cm2", "larmor_kHz", "n_atoms"):
             if getattr(self, name) <= 0:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .output import write_csv
+
 #: Default Larmor cycles per pulse: 325 kHz * 2 ms.
 DEFAULT_OMEGA_T = 2.0 * np.pi * 650.0
 #: Minimum time steps per Larmor cycle demanded of callers.
@@ -234,16 +236,7 @@ def diff_noise_growth(kappa: float, rng: np.random.Generator,
 
 def write_trace_csv(trace: PulseTrace, path: str) -> None:
     """Dump one pulse trace: step, t_ms, sy_sample, jy_sum, jz_sum, jy_diff, jz_diff."""
-    with open(path, "w", newline="") as fh:
-        fh.write("step,t_ms,sy_sample,jy_sum,jz_sum,jy_diff,jz_diff\n")
-        for k in range(trace.n_steps):
-            t_ms = (k + 0.5) * trace.dt_ms
-            row = (k, t_ms, trace.sy_samples[k], trace.spin_sums[k, 0],
-                   trace.spin_sums[k, 1], trace.spin_diffs[k, 0], trace.spin_diffs[k, 1])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    steps = np.arange(trace.n_steps)
+    write_csv(path, ("step", "t_ms", "sy_sample", "jy_sum", "jz_sum", "jy_diff", "jz_diff"),
+              (steps, (steps + 0.5) * trace.dt_ms, trace.sy_samples,
+               *trace.spin_sums.T, *trace.spin_diffs.T))

@@ -1,9 +1,12 @@
 """Command-line behavior: outputs, determinism, config handling, exit codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from spinlight.cli import RunConfig, main, read_config, write_config
+import spinlight.experiment
+from spinlight.cli import RunConfig, build_parser, load_config, main, read_config, write_config
 
 
 def run_cli(capsys, *argv):
@@ -123,7 +126,11 @@ class TestSweep:
         slope = np.polyfit(thetas, pn, 1)[0]
         assert slope == pytest.approx(0.10, rel=0.05)
 
-    def test_missing_out_is_usage_error(self, capsys):
+    def test_missing_out_is_usage_error(self, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("sweep simulated before checking --out")
+
+        monkeypatch.setattr(spinlight.experiment, "density_sweep", no_simulation)
         code, _, _ = run_cli(capsys, "sweep", "--cycles", "100")
         assert code == 1
 
@@ -184,8 +191,12 @@ class TestProtocolCommand:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        config = RunConfig(kappa2=1.5, beta=0.65, cycles=777, seed=13,
-                           theta_grid=(1.0, 3.0), protocol="swap")
+        config = RunConfig(kappa2=1.5, beta=0.65, theta_deg=7.25, power_mw=3.5,
+                           pulse_ms=1.25, detuning_mhz=900.0, n_atoms=3.0e10,
+                           cycles=777, seed=13, out="cycles.csv", parallel=2,
+                           protocol="swap", gain=0.8, squeeze_r=0.1,
+                           theta_grid=(0.1, 3.0))
+        assert all(getattr(config, f.name) != f.default for f in fields(config))
         path = tmp_path / "run.cfg"
         write_config(config, str(path))
         reparsed = RunConfig(**read_config(str(path)))
@@ -210,6 +221,34 @@ class TestConfig:
         path.write_text("cycles = not_a_number\n")
         with pytest.raises(ValueError):
             read_config(str(path))
+
+    def test_flag_set(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        argv = ["run", "--config", str(path), "--kappa2", "2.5", "--beta", "0.5",
+                "--theta-deg", "3", "--power-mw", "1.5", "--pulse-ms", "0.5",
+                "--detuning-mhz", "350", "--n-atoms", "2e10", "--cycles", "123",
+                "--seed", "7", "--out", "x.csv", "--parallel", "3",
+                "--protocol", "swap", "--gain", "0.75", "--squeeze-r", "0.25",
+                "--theta-grid", "1,2.5"]
+        args = build_parser().parse_args(argv)
+        flags = [a for a in argv if a.startswith("--")]
+        assert len(flags) == 16
+        assert set(vars(args)) == {"command"} | {f[2:].replace("-", "_") for f in flags}
+        assert load_config(args) == RunConfig(
+            kappa2=2.5, beta=0.5, theta_deg=3.0, power_mw=1.5, pulse_ms=0.5,
+            detuning_mhz=350.0, n_atoms=2e10, cycles=123, seed=7, out="x.csv",
+            parallel=3, protocol="swap", gain=0.75, squeeze_r=0.25,
+            theta_grid=(1.0, 2.5))
+
+    @pytest.mark.parametrize("argv", [("run", "--kappa2", "nan"),
+                                      ("run", "--kappa2", "inf"),
+                                      ("calibrate", "--power-mw", "nan")])
+    def test_non_finite_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--cycles", "100")
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
     def test_config_validation(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--cycles", "1")

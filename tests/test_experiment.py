@@ -5,7 +5,7 @@ import pytest
 
 from spinlight.experiment import (
     CalibrationError,
-    CycleRecord,
+    CycleSet,
     conditional_variance,
     cycle_stats,
     density_sweep,
@@ -56,10 +56,6 @@ class TestRunCycles:
     def test_record_access(self):
         rec = run_cycles(1.0, 1.0, 10, seed=9)
         assert len(rec) == 10
-        row = rec[3]
-        assert isinstance(row, CycleRecord)
-        assert row.a1 == rec.a1[3]
-        assert len(list(rec)) == 10
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -72,8 +68,8 @@ class TestRunCycles:
 
 class TestAlpha:
     def test_identical_pulses_give_unity(self):
-        rows = [CycleRecord(x, y, x, y) for x, y in zip([1.0, -2.0, 0.5], [0.3, 1.1, -0.7])]
-        assert optimal_alpha(rows) == pytest.approx(1.0)
+        x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.1, -0.7])
+        assert optimal_alpha(CycleSet(x, y, x, y)) == pytest.approx(1.0)
 
     def test_independent_pulses_give_zero(self):
         rec = run_cycles(0.0, 1.0, 50_000, seed=11)
@@ -84,7 +80,7 @@ class TestAlpha:
         assert optimal_alpha(rec) == pytest.approx(0.5, abs=0.02)
 
     def test_degenerate_data_flagged(self):
-        rows = [CycleRecord(0.0, 0.0, 1.0, 2.0)] * 3
+        rows = CycleSet(np.zeros(3), np.zeros(3), np.ones(3), np.full(3, 2.0))
         with pytest.warns(RuntimeWarning):
             assert optimal_alpha(rows) == 0.0
 
@@ -93,6 +89,12 @@ class TestAlpha:
         alpha_a, alpha_b = per_channel_alphas(rec)
         assert alpha_a == pytest.approx(0.5, abs=0.03)
         assert alpha_b == pytest.approx(0.5, abs=0.03)
+
+    def test_per_channel_zero_first_pulse_flagged(self):
+        b1 = np.array([1.0, -2.0, 0.5])
+        rows = CycleSet(np.zeros(3), b1, np.ones(3), 2.0 * b1)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert per_channel_alphas(rows) == (0.0, 2.0)
 
 
 class TestConditionalVariance:

@@ -184,3 +184,9 @@ class TestSmallFormulas:
             PhysicalParams(power_mW=-1.0)
         with pytest.raises(ValueError):
             PhysicalParams(n_atoms=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["power_mW", "detuning_MHz", "n_atoms"])
+    def test_params_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(**{name: value})
