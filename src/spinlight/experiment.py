@@ -38,7 +38,8 @@ CYCLE_CHUNK = 4096
 
 
 class CalibrationError(RuntimeError):
-    """First-pulse noise is inconsistent with shot + projection noise."""
+    """The data cannot support a verdict: first-pulse noise is inconsistent
+    with shot + projection noise, or the light carries no atomic information."""
 
 
 class CycleSet:
@@ -63,7 +64,7 @@ class CycleStats:
     alpha_star: float
     cond_var: float
     atomic_var_inferred: float
-    entangled: bool
+    entangled: bool | None  # None at kappa2 = 0: undetermined
     kappa2: float
     beta: float
     calibration_ok: bool
@@ -212,7 +213,8 @@ def cycle_stats(records: CycleSet, kappa2: float, beta: float) -> CycleStats:
     se_var1 = bound / np.sqrt(max(n - 1, 1))
     calibration_ok = abs(var1 - bound) <= 5.0 * se_var1
     return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha, cond_var=cond,
-                      atomic_var_inferred=atomic, entangled=bool(cond < bound),
+                      atomic_var_inferred=atomic,
+                      entangled=bool(cond < bound) if kappa2 > 0 else None,
                       kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
 
 
@@ -221,8 +223,11 @@ def entanglement_verdict(stats: CycleStats) -> bool:
 
     Refuses to rule when the first-pulse noise fails the projection-noise
     calibration check (the bound is only meaningful for quantum-noise-limited
-    input pulses).
+    input pulses), and at kappa2 = 0, where the outcomes hold no atomic
+    information and cond_var < 1 is a coin flip.
     """
+    if stats.entangled is None:
+        raise CalibrationError("kappa2 = 0: the light carries no atomic information")
     if not stats.calibration_ok:
         raise CalibrationError(
             f"var1 = {stats.var1:.4f} deviates from 1 + kappa^2 = "
@@ -302,6 +307,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 def summary_text(stats: CycleStats) -> str:
     """Flat key-value block describing one run."""
+    verdict = "undetermined" if stats.entangled is None else str(stats.entangled).lower()
     lines = [
         f"n = {stats.n}",
         f"kappa2 = {_fmt(stats.kappa2)}",
@@ -311,6 +317,6 @@ def summary_text(stats: CycleStats) -> str:
         f"alpha_star = {_fmt(stats.alpha_star)}",
         f"cond_var = {_fmt(stats.cond_var)}",
         f"atomic_var = {_fmt(stats.atomic_var_inferred)}",
-        f"entangled = {'true' if stats.entangled else 'false'}",
+        f"entangled = {verdict}",
     ]
     return "\n".join(lines) + "\n"

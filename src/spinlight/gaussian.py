@@ -4,6 +4,9 @@ States are value objects: every operation returns a new state and never
 mutates its input, so states can be fanned out across parallel workers
 freely.  Conventions: mode-major quadrature ordering (X0, P0, X1, P1, ...),
 [X, P] = i, vacuum variance 1/2 on every quadrature.
+
+A state may carry a batch of means, shape (..., 2n), over one shared
+covariance; every operation acts on the last axis of the mean.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class GaussianState:
 
     Attributes:
         labels: mode identifiers; mode k owns quadratures (2k, 2k+1) = (X, P).
-        mean:   real vector of length 2n.
+        mean:   real array of shape (..., 2n); leading axes index runs.
         cov:    real symmetric (2n, 2n) matrix.
     """
 
@@ -59,9 +62,11 @@ class GaussianState:
     def p_index(self, mode: ModeRef) -> int:
         return 2 * self.index(mode) + 1
 
-    def mode_mean(self, mode: ModeRef) -> tuple[float, float]:
+    def mode_mean(self, mode: ModeRef) -> tuple:
+        """(x, p) mean of one mode: floats, or arrays over the batch axes."""
         i = self.x_index(mode)
-        return float(self.mean[i]), float(self.mean[i + 1])
+        x, p = np.moveaxis(self.mean[..., i:i + 2], -1, 0)
+        return x, p
 
     def mode_cov(self, mode: ModeRef) -> np.ndarray:
         i = self.x_index(mode)
@@ -74,9 +79,9 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One homodyne result in canonical units."""
+    """One homodyne result in canonical units (an array for a batch)."""
 
-    value: float
+    value: float | np.ndarray
     mode: str
     quadrature: str = "x"
 
@@ -99,15 +104,17 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def vacuum_state(n_modes: int, labels: Sequence[str] | None = None) -> GaussianState:
-    """n-mode vacuum: zero mean, covariance (1/2) * identity."""
+def vacuum_state(n_modes: int, labels: Sequence[str] | None = None,
+                 batch: tuple[int, ...] = ()) -> GaussianState:
+    """n-mode vacuum: zero mean of shape batch + (2n,), covariance (1/2) * identity."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if labels is None:
         labels = _auto_labels(n_modes)
     elif len(labels) != n_modes:
         raise ValueError("labels length must equal n_modes")
-    return _new_state(labels, np.zeros(2 * n_modes), VACUUM_VAR * np.eye(2 * n_modes))
+    return _new_state(labels, np.zeros(tuple(batch) + (2 * n_modes,)),
+                      VACUUM_VAR * np.eye(2 * n_modes))
 
 
 def add_vacuum_modes(state: GaussianState, labels: Sequence[str]) -> GaussianState:
@@ -116,18 +123,20 @@ def add_vacuum_modes(state: GaussianState, labels: Sequence[str]) -> GaussianSta
     if k == 0:
         return state
     n = state.n_modes
-    mean = np.concatenate([state.mean, np.zeros(2 * k)])
+    mean = np.zeros(state.mean.shape[:-1] + (2 * (n + k),))
+    mean[..., : 2 * n] = state.mean
     cov = VACUUM_VAR * np.eye(2 * (n + k))
     cov[: 2 * n, : 2 * n] = state.cov
     return _new_state(list(state.labels) + list(labels), mean, cov)
 
 
-def displace(state: GaussianState, mode: ModeRef, dx: float, dp: float) -> GaussianState:
-    """Shift the mode mean by (dx, dp); covariance is unchanged."""
+def displace(state: GaussianState, mode: ModeRef, dx, dp) -> GaussianState:
+    """Shift the mode mean by (dx, dp), scalars or per-run arrays; cov is unchanged."""
     i = state.x_index(mode)
-    mean = state.mean.copy()
-    mean[i] += dx
-    mean[i + 1] += dp
+    batch = np.broadcast_shapes(state.mean.shape[:-1], np.shape(dx), np.shape(dp))
+    mean = np.array(np.broadcast_to(state.mean, batch + state.mean.shape[-1:]))
+    mean[..., i] += dx
+    mean[..., i + 1] += dp
     return _new_state(state.labels, mean, state.cov.copy())
 
 
@@ -156,7 +165,8 @@ def apply_symplectic(state: GaussianState, smat: np.ndarray,
 
     full = np.eye(2 * state.n_modes)
     full[np.ix_(idx, idx)] = smat
-    mean = full @ state.mean
+    # one (runs, 2n) x (2n, 2n) product beats gathering the touched columns
+    mean = state.mean @ full.T
     cov = full @ state.cov @ full.T
     return _new_state(state.labels, mean, cov)
 
@@ -185,26 +195,28 @@ def measure_x(state: GaussianState, mode: ModeRef,
     conditioned with the standard linear-update / Schur-complement rule, so
     the post-measurement covariance depends only on the prior covariance.
     A degenerate (zero-variance) marginal yields the exact outcome and a
-    deterministic update.
+    deterministic update.  A batch of means draws one outcome per run, in
+    row order, from one ``rng.normal`` call.
     """
     im = state.index(mode)
     xq = 2 * im
     keep = [q for q in range(2 * state.n_modes) if q not in (xq, xq + 1)]
     var_m = float(state.cov[xq, xq])
-    mu_m = float(state.mean[xq])
+    mu_m = state.mean[..., xq]
     round_off = 1e-12 * max(1.0, float(np.max(np.abs(state.cov))))
     if var_m < -round_off:
         raise InvariantViolation("negative marginal variance")
     var_m = max(var_m, 0.0)
 
     if var_m > 0:
-        value = float(rng.normal(mu_m, np.sqrt(var_m)))
+        value = rng.normal(mu_m, np.sqrt(var_m))
         gain = state.cov[keep, xq] / var_m
     else:
-        value = mu_m
+        value = mu_m[()]
         gain = np.zeros(len(keep))
 
-    mean = state.mean[keep] + gain * (value - mu_m)
+    mean = np.take(state.mean, keep, axis=-1)
+    mean += np.multiply.outer(value - mu_m, gain)
     cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, state.cov[xq, keep])
     labels = [lab for k, lab in enumerate(state.labels) if k != im]
     return (MeasurementOutcome(value, state.labels[im], "x"),
@@ -225,7 +237,7 @@ def apply_beta_decay(state: GaussianState, mode: ModeRef, beta: float) -> Gaussi
     sel = [i, i + 1]
     mean = state.mean.copy()
     cov = state.cov.copy()
-    mean[sel] *= beta
+    mean[..., sel] *= beta
     cov[sel, :] *= beta
     cov[:, sel] *= beta
     # the block got beta^2; add the vacuum admixture
@@ -264,20 +276,21 @@ def duan_sum(state: GaussianState, mode_a: ModeRef, mode_b: ModeRef) -> float:
     return float(state.cov[2 * ia + 1, 2 * ia + 1] + state.cov[2 * ib + 1, 2 * ib + 1])
 
 
-def coherent_fidelity(state: GaussianState, mode: ModeRef,
-                      target_x: float, target_p: float) -> float:
+def coherent_fidelity(state: GaussianState, mode: ModeRef, target_x, target_p):
     """Overlap of one reduced mode with the pure coherent state at (x, p).
 
     F = det(Sigma + I/2)^(-1/2) * exp(-delta^T (Sigma + I/2)^(-1) delta / 2);
-    equals 1 iff the mode is exactly that coherent state.
+    equals 1 iff the mode is exactly that coherent state.  A float, or an
+    array over the batch axes of the mean.
     """
     sigma = state.mode_cov(mode) + VACUUM_VAR * np.eye(2)
     mx, mp = state.mode_mean(mode)
-    delta = np.array([mx - target_x, mp - target_p])
+    delta = np.stack(np.broadcast_arrays(mx - target_x, mp - target_p), axis=-1)
     det = float(np.linalg.det(sigma))
     if det <= 0:
         raise InvariantViolation("unphysical reduced covariance")
-    return float(np.exp(-0.5 * delta @ np.linalg.solve(sigma, delta)) / np.sqrt(det))
+    quad = np.sum(delta * (delta @ np.linalg.inv(sigma)), axis=-1)
+    return np.exp(-0.5 * quad) / np.sqrt(det)
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

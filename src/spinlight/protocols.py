@@ -10,6 +10,9 @@ light channels (cos/sin lock-in components) to the pair combinations
 which is the same interaction the two-cell experiment uses, expressed in
 per-cell variables.  Feedback displacements are classical: they move means
 and never covariances.
+
+A protocol runs as one batched state (one mean row per run) from one
+``np.random.default_rng(seed)``, drawing all runs' outcomes measurement by measurement.
 """
 
 from __future__ import annotations
@@ -67,11 +70,11 @@ def _pair_pulse_matrix(kappa: float) -> np.ndarray:
 
 
 def entangling_pulse(state: GaussianState, cell_plus: str, cell_minus: str,
-                     kappa: float, rng: np.random.Generator) -> tuple[float, float, GaussianState]:
+                     kappa: float, rng: np.random.Generator) -> tuple:
     """Send one pulse through a cell pair and homodyne both lock-in channels.
 
-    Returns the cos-channel and sin-channel outcomes; the light modes are
-    consumed by the measurement.
+    Returns the cos- and sin-channel outcomes (per-run arrays for a batch);
+    the light modes are consumed by the measurement.
     """
     state = add_vacuum_modes(state, ["_pulse_cos", "_pulse_sin"])
     state = apply_symplectic(state, _pair_pulse_matrix(kappa),
@@ -91,15 +94,14 @@ def _pair_sum_variances(state: GaussianState, cell_plus: str, cell_minus: str) -
     return float(var_p + var_x)
 
 
-def _pair_sum_means(state: GaussianState, cell_plus: str, cell_minus: str) -> tuple[float, float]:
-    mxp, mpp = state.mode_mean(cell_plus)
-    mxm, mpm = state.mode_mean(cell_minus)
-    return (mxp + mxm) / np.sqrt(2.0), (mpp - mpm) / np.sqrt(2.0)
-
-
-def _run_seeds(seed: int, n_runs: int):
-    for run in range(n_runs):
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run,)))
+def _ensemble_result(n_runs: int, record_runs: bool, columns: dict, err_x, err_p,
+                     **diagnostics) -> ProtocolResult:
+    """Result of a batched run from per-run columns and displacement errors."""
+    if record_runs:
+        diagnostics.update(runs=np.column_stack(list(columns.values())),
+                           run_columns=tuple(columns))
+    error = (float(np.mean(err_x)), float(np.mean(err_p)))
+    return ProtocolResult(n_runs=n_runs, mean_displacement_error=error, **diagnostics)
 
 
 def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
@@ -119,26 +121,19 @@ def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
     kappa = float(np.sqrt(kappa2))
     coeff = gain * np.sqrt(2.0) / kappa if kappa > 0 else 0.0
 
-    fidelities = np.empty(n_runs)
-    err = np.zeros(2)
-    rows = np.empty((n_runs, 7)) if record_runs else None
-    for i, rng in enumerate(_run_seeds(seed, n_runs)):
-        state = vacuum_state(3, ["cell1", "cell2", "cell3"])
-        state = displace(state, "cell3", dx, dp)
-        a1, b1, state = entangling_pulse(state, "cell1", "cell2", kappa, rng)
-        a2, b2, state = entangling_pulse(state, "cell1", "cell3", kappa, rng)
-        disp_x, disp_p = coeff * (b2 - b1), coeff * (a1 - a2)
-        state = displace(state, "cell2", disp_x, disp_p)
-        fidelities[i] = coherent_fidelity(state, "cell2", dx, dp)
-        mx, mp = state.mode_mean("cell2")
-        err += (mx - dx, mp - dp)
-        if rows is not None:
-            rows[i] = (a1, b1, a2, b2, disp_x, disp_p, fidelities[i])
-    return ProtocolResult(n_runs=n_runs, mean_fidelity=float(fidelities.mean()),
-                          mean_displacement_error=(err[0] / n_runs, err[1] / n_runs),
-                          runs=rows,
-                          run_columns=("a1", "b1", "a2", "b2", "disp_x", "disp_p",
-                                       "fidelity") if record_runs else ())
+    rng = np.random.default_rng(seed)
+    state = vacuum_state(3, ["cell1", "cell2", "cell3"], batch=(n_runs,))
+    state = displace(state, "cell3", dx, dp)
+    a1, b1, state = entangling_pulse(state, "cell1", "cell2", kappa, rng)
+    a2, b2, state = entangling_pulse(state, "cell1", "cell3", kappa, rng)
+    disp_x, disp_p = coeff * (b2 - b1), coeff * (a1 - a2)
+    state = displace(state, "cell2", disp_x, disp_p)
+    fidelities = coherent_fidelity(state, "cell2", dx, dp)
+    mx, mp = state.mode_mean("cell2")
+    return _ensemble_result(
+        n_runs, record_runs,
+        dict(a1=a1, b1=b1, a2=a2, b2=b2, disp_x=disp_x, disp_p=disp_p, fidelity=fidelities),
+        mx - dx, mp - dp, mean_fidelity=float(fidelities.mean()))
 
 
 def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0,
@@ -155,26 +150,21 @@ def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0,
     kappa = float(np.sqrt(kappa2))
     coeff = np.sqrt(2.0) / kappa if kappa > 0 else 0.0
 
-    duan_out = 1.0
-    err = np.zeros(2)
-    rows = np.empty((n_runs, 8)) if record_runs else None
-    for i, rng in enumerate(_run_seeds(seed, n_runs)):
-        state = vacuum_state(4, ["cell1", "cell2", "cell3", "cell4"])
-        a1, b1, state = entangling_pulse(state, "cell1", "cell2", kappa, rng)
-        a1p, b1p, state = entangling_pulse(state, "cell4", "cell3", kappa, rng)
-        a2, b2, state = entangling_pulse(state, "cell1", "cell3", kappa, rng)
-        disp_x, disp_p = coeff * (b2 - b1 - b1p), -coeff * (a2 - a1 - a1p)
-        state = displace(state, "cell2", disp_x, disp_p)
-        duan_out = _pair_sum_variances(state, "cell4", "cell2")
-        mean_x, mean_p = _pair_sum_means(state, "cell4", "cell2")
-        err += (mean_x, mean_p)
-        if rows is not None:
-            rows[i] = (a1, b1, a1p, b1p, a2, b2, disp_x, disp_p)
-    return ProtocolResult(n_runs=n_runs, duan_sum_out=float(duan_out),
-                          mean_displacement_error=(err[0] / n_runs, err[1] / n_runs),
-                          runs=rows,
-                          run_columns=("a1", "b1", "a1_prime", "b1_prime", "a2", "b2",
-                                       "disp_x", "disp_p") if record_runs else ())
+    rng = np.random.default_rng(seed)
+    state = vacuum_state(4, ["cell1", "cell2", "cell3", "cell4"], batch=(n_runs,))
+    a1, b1, state = entangling_pulse(state, "cell1", "cell2", kappa, rng)
+    a1p, b1p, state = entangling_pulse(state, "cell4", "cell3", kappa, rng)
+    a2, b2, state = entangling_pulse(state, "cell1", "cell3", kappa, rng)
+    disp_x, disp_p = coeff * (b2 - b1 - b1p), -coeff * (a2 - a1 - a1p)
+    state = displace(state, "cell2", disp_x, disp_p)
+    # the certified pair combinations (x4 + x2)/sqrt2 and (p4 - p2)/sqrt2
+    (x4, p4), (x2, p2) = state.mode_mean("cell4"), state.mode_mean("cell2")
+    return _ensemble_result(
+        n_runs, record_runs,
+        dict(a1=a1, b1=b1, a1_prime=a1p, b1_prime=b1p, a2=a2, b2=b2,
+             disp_x=disp_x, disp_p=disp_p),
+        (x4 + x2) / np.sqrt(2.0), (p4 - p2) / np.sqrt(2.0),
+        duan_sum_out=_pair_sum_variances(state, "cell4", "cell2"))
 
 
 def quantum_memory(light_disp: tuple[float, float], resource_squeeze_r: float,
@@ -195,36 +185,29 @@ def quantum_memory(light_disp: tuple[float, float], resource_squeeze_r: float,
     kappa_r = float(np.sqrt(kappa2_readout))
     read_gain = -1.0 / kappa_r if kappa_r > 0 else 0.0
 
-    fidelities = np.empty(n_runs)
-    err = np.zeros(2)
-    rows = np.empty((n_runs, 5)) if record_runs else None
-    for i, rng in enumerate(_run_seeds(seed, n_runs)):
-        state = vacuum_state(3, ["light", "mem1", "mem2"])
-        state = displace(state, "light", lx, lp)
-        state = two_mode_squeeze(state, "mem1", "mem2", resource_squeeze_r)
+    rng = np.random.default_rng(seed)
+    state = vacuum_state(3, ["light", "mem1", "mem2"], batch=(n_runs,))
+    state = displace(state, "light", lx, lp)
+    state = two_mode_squeeze(state, "mem1", "mem2", resource_squeeze_r)
 
-        # write: the input pulse probes cell 1, X-homodyne, feedback onto p2
-        state = apply_qnd(state, "mem1", "light", 1.0)
-        m1, state = measure_x(state, "light", rng)
-        state = displace(state, "mem2", 0.0, -m1.value)
+    # write: the input pulse probes cell 1, X-homodyne, feedback onto p2
+    state = apply_qnd(state, "mem1", "light", 1.0)
+    m1, state = measure_x(state, "light", rng)
+    state = displace(state, "mem2", 0.0, -m1.value)
 
-        # move the stored P_light component into the readout quadrature
-        state = rotate(state, "mem1", np.pi / 2.0)
-        state = add_vacuum_modes(state, ["readout"])
-        state = apply_qnd(state, "mem1", "readout", kappa_r)
-        m2, state = measure_x(state, "readout", rng)
-        state = displace(state, "mem2", read_gain * m2.value, 0.0)
+    # move the stored P_light component into the readout quadrature
+    state = rotate(state, "mem1", np.pi / 2.0)
+    state = add_vacuum_modes(state, ["readout"])
+    state = apply_qnd(state, "mem1", "readout", kappa_r)
+    m2, state = measure_x(state, "readout", rng)
+    state = displace(state, "mem2", read_gain * m2.value, 0.0)
 
-        # the logical stored mode is (-p2, x2): undo the quadrature exchange
-        state = rotate(state, "mem2", -np.pi / 2.0)
-        fidelities[i] = coherent_fidelity(state, "mem2", lx, lp)
-        mx, mp = state.mode_mean("mem2")
-        err += (mx - lx, mp - lp)
-        if rows is not None:
-            rows[i] = (m1.value, m2.value, -m1.value, read_gain * m2.value,
-                       fidelities[i])
-    return ProtocolResult(n_runs=n_runs, mean_fidelity=float(fidelities.mean()),
-                          mean_displacement_error=(err[0] / n_runs, err[1] / n_runs),
-                          runs=rows,
-                          run_columns=("m_write", "m_readout", "disp_p_write",
-                                       "disp_x_read", "fidelity") if record_runs else ())
+    # the logical stored mode is (-p2, x2): undo the quadrature exchange
+    state = rotate(state, "mem2", -np.pi / 2.0)
+    fidelities = coherent_fidelity(state, "mem2", lx, lp)
+    mx, mp = state.mode_mean("mem2")
+    return _ensemble_result(
+        n_runs, record_runs,
+        dict(m_write=m1.value, m_readout=m2.value, disp_p_write=-m1.value,
+             disp_x_read=read_gain * m2.value, fidelity=fidelities),
+        mx - lx, mp - lp, mean_fidelity=float(fidelities.mean()))

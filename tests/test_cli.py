@@ -41,6 +41,14 @@ class TestCalibrate:
         assert float(values["kappa2_theory"]) == 0.0
         assert float(values["kappa2_exp"]) == 0.0
 
+    @pytest.mark.parametrize("theta", ["0", "10"])
+    def test_no_value_is_nan(self, capsys, theta):
+        code, out, _ = run_cli(capsys, "calibrate", "--theta-deg", theta)
+        assert code == 0
+        values = parse_kv(out)
+        assert not any(np.isnan(float(v)) for v in values.values())
+        assert ("ratio" in values) == (theta != "0")  # no ratio to a zero coupling
+
     def test_detuning_scaling(self, capsys):
         _, out1, _ = run_cli(capsys, "calibrate", "--theta-deg", "10")
         _, out2, _ = run_cli(capsys, "calibrate", "--theta-deg", "10",
@@ -83,6 +91,12 @@ class TestRun:
                                "--cycles", "10000", "--seed", "1")
         assert code == 0
         assert parse_kv(out)["entangled"] == "false"
+
+    def test_zero_coupling_verdict_undetermined(self, capsys):
+        # at kappa2 = 0 cond_var < 1 + kappa2 is a coin flip, not a verdict
+        code, out, _ = run_cli(capsys, "run", "--kappa2", "0", "--cycles", "1000")
+        assert code == 0
+        assert parse_kv(out)["entangled"] == "undetermined"
 
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--kappa2", "1", "--cycles", "100",
@@ -149,6 +163,15 @@ class TestTimedomain:
         assert "overall = PASS" in out
         assert "spin-sum drift" in out
         assert trace_path.exists()
+
+    def test_failed_gate_exit_code(self, capsys, monkeypatch):
+        # 64 runs cannot meet the 3% moment gate
+        import spinlight.timedomain as td
+        monkeypatch.setattr(td, "DEFAULT_OMEGA_T", 2.0 * np.pi * 20.0)
+        code, out, _ = run_cli(capsys, "timedomain", "--kappa2", "1",
+                               "--cycles", "64", "--seed", "17")
+        assert "overall = FAIL" in out
+        assert code == 4
 
 
 class TestProtocolCommand:

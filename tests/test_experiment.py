@@ -147,6 +147,13 @@ class TestVerdict:
         with pytest.raises(CalibrationError):
             entanglement_verdict(stats)
 
+    def test_zero_coupling_withholds_verdict(self):
+        stats = cycle_stats(run_cycles(0.0, 1.0, 1000, seed=1), 0.0, 1.0)
+        assert stats.calibration_ok and stats.entangled is None
+        with pytest.raises(CalibrationError):
+            entanglement_verdict(stats)
+        assert "entangled = undetermined" in summary_text(stats)
+
     @pytest.mark.parametrize("beta", [1.0, 0.65, 0.0])
     def test_definitional_bound(self, beta):
         stats = cycle_stats(run_cycles(1.0, beta, 20_000, seed=20), 1.0, beta)

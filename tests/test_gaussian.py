@@ -284,3 +284,90 @@ class TestHelpers:
         assert grown.n_modes == 3
         assert np.array_equal(grown.cov[:4, :4], state.cov)
         assert np.array_equal(grown.cov[4:, 4:], 0.5 * np.eye(2))
+
+
+class PresetRng:
+    """Stands in for a Generator: normal(loc, scale) returns preset outcomes."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def normal(self, loc, scale):
+        value = self.outcomes.pop(0)
+        assert np.shape(value) == np.shape(loc)
+        return value
+
+
+def _probe_sequence(state, kappa, r, beta, shift, rng):
+    """Squeeze, probe, homodyne, decay, re-probe: every op on the batch path."""
+    state = displace(state, "a", shift, -0.5 * shift)
+    state = two_mode_squeeze(state, "a", "b", r)
+    state = add_vacuum_modes(state, ["probe"])
+    state = apply_qnd(state, "a", "probe", kappa)
+    first, state = measure_x(state, "probe", rng)
+    state = apply_beta_decay(state, "a", beta)
+    state = rotate(state, "b", 0.3)
+    state = displace(state, "b", first.value, 0.0)
+    state = add_vacuum_modes(state, ["probe"])
+    state = apply_qnd(state, "b", "probe", kappa)
+    second, state = measure_x(state, "probe", rng)
+    return (first.value, second.value), state
+
+
+CASE = dict(kappa=st.floats(0.0, 5.0), r=st.floats(0.0, 1.5), beta=st.floats(0.0, 1.0),
+            seed=st.integers(0, 2**32 - 1))
+
+
+class TestBatch:
+    @given(runs=st.integers(1, 6), **CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_covariance_bitwise_equal_to_unbatched(self, kappa, r, beta, runs, seed):
+        shifts = np.random.default_rng(seed).normal(size=runs)
+        _, batched = _probe_sequence(vacuum_state(2, ["a", "b"], batch=(runs,)),
+                                     kappa, r, beta, shifts, np.random.default_rng(seed))
+        _, single = _probe_sequence(vacuum_state(2, ["a", "b"]), kappa, r, beta,
+                                    shifts[0], np.random.default_rng(seed))
+        assert batched.mean.shape == (runs, 4)
+        assert batched.cov.tobytes() == single.cov.tobytes()
+
+    @given(runs=st.integers(1, 6), **CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_matches_unbatched_run_with_its_outcomes(self, kappa, r, beta, runs, seed):
+        draws = np.random.default_rng(seed).normal(scale=2.0, size=(3, runs))
+        shifts, outcomes = draws[0], list(draws[1:])
+        _, batched = _probe_sequence(vacuum_state(2, ["a", "b"], batch=(runs,)),
+                                     kappa, r, beta, shifts, PresetRng(outcomes))
+        fid = coherent_fidelity(batched, "b", 0.2, -0.1)
+        bx, bp = batched.mode_mean("b")
+        assert fid.shape == bx.shape == bp.shape == (runs,)
+        for row in range(runs):
+            _, single = _probe_sequence(vacuum_state(2, ["a", "b"]), kappa, r, beta,
+                                        shifts[row], PresetRng([o[row] for o in outcomes]))
+            assert np.allclose(batched.mean[row], single.mean, rtol=0.0, atol=1e-12)
+            assert fid[row] == pytest.approx(coherent_fidelity(single, "b", 0.2, -0.1),
+                                             rel=0.0, abs=1e-12)
+
+    @given(**CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_single_row_batch_reproduces_scalar_stream(self, kappa, r, beta, seed):
+        batch_out, batched = _probe_sequence(vacuum_state(2, ["a", "b"], batch=(1,)),
+                                             kappa, r, beta, 0.7, np.random.default_rng(seed))
+        scalar_out, single = _probe_sequence(vacuum_state(2, ["a", "b"]), kappa, r, beta,
+                                             0.7, np.random.default_rng(seed))
+        assert all(isinstance(v, float) for v in scalar_out)
+        assert [v.shape for v in batch_out] == [(1,), (1,)]
+        assert np.array([v[0] for v in batch_out]).tobytes() == np.array(scalar_out).tobytes()
+        assert batched.mean[0].tobytes() == single.mean.tobytes()
+
+    def test_rows_draw_in_order_from_one_call(self):
+        state = apply_qnd(vacuum_state(2, batch=(5,)), 0, 1, 1.0)
+        outcome, _ = measure_x(state, 1, np.random.default_rng(3))
+        want = np.random.default_rng(3).normal(0.0, np.sqrt(state.variance(1, "x")), size=5)
+        assert outcome.value.tobytes() == want.tobytes()
+
+    def test_array_shift_broadcasts_over_batch(self):
+        state = displace(vacuum_state(2), 1, np.array([1.0, 2.0, 3.0]), 0.5)
+        assert state.mean.shape == (3, 4)
+        assert np.array_equal(state.mean[:, 2], [1.0, 2.0, 3.0])
+        assert np.array_equal(state.mean[:, 3], [0.5, 0.5, 0.5])
+        assert np.array_equal(state.cov, 0.5 * np.eye(4))

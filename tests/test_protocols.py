@@ -9,10 +9,12 @@ from linear_oracle import (
     teleport_conditional_var,
     teleport_mean_fidelity,
 )
+from test_gaussian import PresetRng
 
 from spinlight.gaussian import (
     add_vacuum_modes,
     apply_qnd,
+    coherent_fidelity,
     displace,
     duan_sum,
     measure_x,
@@ -246,3 +248,38 @@ class TestEprResource:
         assert var_p + var_x == pytest.approx(np.exp(-3.0), rel=1e-10)
         # individual modes are thermal: duan on raw P variances grows
         assert duan_sum(state, 0, 1) == pytest.approx(np.cosh(3.0), rel=1e-10)
+
+
+class TestBatchedEnsemble:
+    def test_single_run_replays_the_unbatched_engine(self):
+        # n_runs = 1 draws from default_rng(seed) in the order an unbatched
+        # run of the same steps does, one scalar per measurement
+        rng = np.random.default_rng(31)
+        state = vacuum_state(3, ["cell1", "cell2", "cell3"])
+        state = displace(state, "cell3", 0.3, -0.2)
+        a1, b1, state = entangling_pulse(state, "cell1", "cell2", 2.0, rng)
+        a2, b2, state = entangling_pulse(state, "cell1", "cell3", 2.0, rng)
+        result = teleport_spin_state((0.3, -0.2), 4.0, n_runs=1, seed=31, record_runs=True)
+        assert result.runs[0, :4].tobytes() == np.array([a1, b1, a2, b2]).tobytes()
+
+    def test_each_run_matches_an_unbatched_run_with_its_outcomes(self):
+        result = teleport_spin_state((0.6, -0.3), 2.0, gain=0.8, n_runs=6, seed=33,
+                                     record_runs=True)
+        coeff = 0.8 * np.sqrt(2.0) / np.sqrt(2.0)
+        for a1, b1, a2, b2, disp_x, disp_p, fid in result.runs:
+            rng = PresetRng([a1, b1, a2, b2])
+            state = vacuum_state(3, ["cell1", "cell2", "cell3"])
+            state = displace(state, "cell3", 0.6, -0.3)
+            _, _, state = entangling_pulse(state, "cell1", "cell2", np.sqrt(2.0), rng)
+            _, _, state = entangling_pulse(state, "cell1", "cell3", np.sqrt(2.0), rng)
+            assert (disp_x, disp_p) == (coeff * (b2 - b1), coeff * (a1 - a2))
+            state = displace(state, "cell2", disp_x, disp_p)
+            assert fid == pytest.approx(coherent_fidelity(state, "cell2", 0.6, -0.3),
+                                        rel=0.0, abs=1e-12)
+
+    def test_runs_are_independent_draws(self):
+        result = entanglement_swap(4.0, n_runs=4000, seed=32, record_runs=True)
+        outcomes = result.runs[:, :6]
+        corr = np.corrcoef(outcomes[:-1, 0], outcomes[1:, 0])[0, 1]
+        assert abs(corr) < 5.0 / np.sqrt(4000)
+        assert len(np.unique(outcomes[:, 0])) == 4000
