@@ -36,6 +36,7 @@ from .experiment import (
     entanglement_verdict,
     optimal_alpha,
     run_cycles,
+    stream_cycle_stats,
     theory_curves,
 )
 from .timedomain import (
@@ -63,7 +64,7 @@ __all__ = [
     "beta_from_t2",
     "CycleSet", "CycleStats", "SweepRow", "run_cycles", "optimal_alpha",
     "conditional_variance", "cycle_stats", "theory_curves",
-    "entanglement_verdict", "duan_spin_check", "density_sweep",
+    "stream_cycle_stats", "entanglement_verdict", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
     "diff_noise_growth",
     "ProtocolResult", "teleport_spin_state", "entanglement_swap",

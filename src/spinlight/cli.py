@@ -164,10 +164,12 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 def cmd_run(config: RunConfig) -> int:
     kappa2 = config.resolve_kappa2()
-    records = experiment.run_cycles(kappa2, config.beta, config.cycles,
-                                    config.seed, parallel=config.parallel)
-    stats = experiment.cycle_stats(records, kappa2, config.beta)
-    if config.out is not None:
+    args = (kappa2, config.beta, config.cycles, config.seed)
+    if config.out is None:  # only the CSV needs the cycles themselves
+        stats = experiment.stream_cycle_stats(*args, parallel=config.parallel)
+    else:
+        records = experiment.run_cycles(*args, parallel=config.parallel)
+        stats = experiment.cycle_stats(records, kappa2, config.beta)
         experiment.write_cycles_csv(records, config.out)
     sys.stdout.write(experiment.summary_text(stats))
     return 0

@@ -15,7 +15,8 @@ the test suite rather than sharing code.
 
 Cycles are simulated in fixed-size chunks whose generators derive from the
 master seed and the chunk index, so any degree of parallelism produces
-byte-identical results.
+byte-identical results.  The statistics need only the 4x4 Gram matrix of the
+outcomes, summed in chunk order, so stream_cycle_stats keeps no cycles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -98,19 +98,41 @@ def _simulate_chunk(kappa2: float, beta: float, seed: int, chunk: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
     kappa = np.sqrt(kappa2)
     z = np.sqrt(0.5) * rng.standard_normal((count, 8))
-    elec = rng.standard_normal((count, 4))  # drawn even when unused: stream stability
-    p_a, p_b = z[:, 0], z[:, 1]
-    l1a, l1b, w_a, w_b, l2a, l2b = z[:, 2], z[:, 3], z[:, 4], z[:, 5], z[:, 6], z[:, 7]
+    p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]  # (channel a, channel b)
+    out[:, 0:2] = l1 + kappa * p
+    out[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
+    if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
+        out += electronics_std * rng.standard_normal((count, 4))
 
-    decay = np.sqrt(1.0 - beta**2)
-    p_a2 = beta * p_a + decay * w_a
-    p_b2 = beta * p_b + decay * w_b
-    out[:, 0] = l1a + kappa * p_a
-    out[:, 1] = l1b + kappa * p_b
-    out[:, 2] = l2a + kappa * p_a2
-    out[:, 3] = l2b + kappa * p_b2
-    if electronics_std > 0.0:
-        out += electronics_std * elec
+
+def _simulate(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
+              electronics_std: float, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gram matrix of the (a1, b1, a2, b2) rows summed over the chunks in chunk
+    order, and the (n_cycles, 4) rows themselves if `keep`.
+
+    numpy's generators release the GIL while drawing, so threads scale; the
+    pool starts no thread at parallel 1, where the builtin map runs inline.
+    """
+    if kappa2 < 0:
+        raise ValueError("kappa2 must be >= 0")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be positive")
+    data = np.empty((n_cycles, 4)) if keep else None
+
+    def chunk_gram(chunk: int) -> np.ndarray:
+        rows = slice(chunk * CYCLE_CHUNK, min(n_cycles, (chunk + 1) * CYCLE_CHUNK))
+        block = data[rows] if keep else np.empty((rows.stop - rows.start, 4))
+        _simulate_chunk(kappa2, beta, seed, chunk, block, electronics_std)
+        return block.T @ block
+
+    chunks = range(-(-n_cycles // CYCLE_CHUNK))
+    window = 64 * parallel  # chunks handed to the pool at once, so few results wait
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        chunk_map = map if parallel == 1 else pool.map
+        return sum(gram for first in range(0, len(chunks), window)
+                   for gram in chunk_map(chunk_gram, chunks[first:first + window])), data
 
 
 def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
@@ -120,22 +142,7 @@ def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
     Deterministic for a given seed at every parallelism level: each chunk
     draws from its own generator into its own rows of one output array.
     """
-    if kappa2 < 0:
-        raise ValueError("kappa2 must be >= 0")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be positive")
-
-    data = np.empty((n_cycles, 4))
-    blocks = [data[start:start + CYCLE_CHUNK] for start in range(0, n_cycles, CYCLE_CHUNK)]
-    simulate = partial(_simulate_chunk, kappa2, beta, seed,
-                       electronics_std=electronics_std)
-    # numpy's generators release the GIL while drawing, so threads scale; the
-    # pool starts no thread at parallel 1, where the builtin map runs inline
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        chunk_map = map if parallel == 1 else pool.map
-        list(chunk_map(simulate, range(len(blocks)), blocks))  # consumed to raise errors
+    _, data = _simulate(kappa2, beta, n_cycles, seed, parallel, electronics_std, keep=True)
     return CycleSet(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
@@ -153,13 +160,9 @@ def optimal_alpha(records: CycleSet) -> float:
 
     alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2): one weight shared by both
     lock-in channels.  Degenerate data (all first-pulse outcomes zero) gives
-    0 with a warning.
+    0 with a warning.  Equal, bit for bit, to cycle_stats(records, ...).alpha_star.
     """
-    if len(records) < 2:
-        raise ValueError("need at least two cycles")
-    a1, b1, a2, b2 = records.a1, records.b1, records.a2, records.b2
-    return _weight(float(np.dot(a1, a2) + np.dot(b1, b2)),
-                   float(np.dot(a1, a1) + np.dot(b1, b1)))
+    return cycle_stats(records, 0.0, 1.0).alpha_star  # kappa2 and beta do not enter it
 
 
 def per_channel_alphas(records: CycleSet) -> tuple[float, float]:
@@ -195,27 +198,45 @@ def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
     return cond, alpha
 
 
+def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
+    """cycle_stats from the summed Gram matrix of the (a1, b1, a2, b2) rows."""
+    if n < 2:
+        raise ValueError("need at least two cycles")
+    first, second = gram[0, 0] + gram[1, 1], gram[2, 2] + gram[3, 3]
+    cross = gram[0, 2] + gram[1, 3]
+    alpha = _weight(float(cross), float(first))
+    var1 = float(first / (n - 1))
+    cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
+    bound = 1.0 + kappa2
+    atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
+    # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
+    calibration_ok = bool(abs(var1 - bound) <= 5.0 * bound / np.sqrt(n - 1))
+    return CycleStats(n=n, var1=var1, var2=float(second / (n - 1)), alpha_star=alpha,
+                      cond_var=cond, atomic_var_inferred=atomic,
+                      entangled=bool(cond < bound) if kappa2 > 0 else None,
+                      kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
+
+
 def cycle_stats(records: CycleSet, kappa2: float, beta: float) -> CycleStats:
     """Estimate variances, the optimal weight, and the entanglement verdict.
 
     Pulse variances are raw second moments over N-1: outcomes have zero mean
     by construction and this matches the conditional-variance normalization,
-    so cond_var <= var2 + var1 alpha*^2 holds identically.
+    so cond_var <= var2 + var1 alpha*^2 holds identically.  The sums are the
+    Gram matrices of CYCLE_CHUNK-row blocks added in order, as in
+    stream_cycle_stats, so both give the same bits for the same cycles.
     """
-    n = len(records)
-    var1 = float((np.dot(records.a1, records.a1) + np.dot(records.b1, records.b1)) / (n - 1))
-    var2 = float((np.dot(records.a2, records.a2) + np.dot(records.b2, records.b2)) / (n - 1))
-    alpha = optimal_alpha(records)
-    cond = conditional_variance(records, alpha)
-    bound = 1.0 + kappa2
-    atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
-    # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
-    se_var1 = bound / np.sqrt(max(n - 1, 1))
-    calibration_ok = abs(var1 - bound) <= 5.0 * se_var1
-    return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha, cond_var=cond,
-                      atomic_var_inferred=atomic,
-                      entangled=bool(cond < bound) if kappa2 > 0 else None,
-                      kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
+    cols = (records.a1, records.b1, records.a2, records.b2)
+    blocks = (np.column_stack([v[start:start + CYCLE_CHUNK] for v in cols])
+              for start in range(0, len(records), CYCLE_CHUNK))
+    return _stats(sum(block.T @ block for block in blocks), len(records), kappa2, beta)
+
+
+def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
+                       parallel: int = 1, electronics_std: float = 0.0) -> CycleStats:
+    """cycle_stats(run_cycles(...)), bit for bit, without keeping the cycles."""
+    gram, _ = _simulate(kappa2, beta, n_cycles, seed, parallel, electronics_std, keep=False)
+    return _stats(gram, n_cycles, kappa2, beta)
 
 
 def entanglement_verdict(stats: CycleStats) -> bool:
@@ -278,9 +299,8 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
         if theta < 0:
             raise ValueError("theta values must be >= 0")
         kappa2 = kappa2_experimental(theta)
-        records = run_cycles(kappa2, beta, n_cycles, int(row_seed),
-                             parallel=parallel, electronics_std=electronics_std)
-        stats = cycle_stats(records, kappa2, beta)
+        stats = stream_cycle_stats(kappa2, beta, n_cycles, int(row_seed),
+                                   parallel=parallel, electronics_std=electronics_std)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(
@@ -306,8 +326,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def summary_text(stats: CycleStats) -> str:
-    """Flat key-value block describing one run."""
-    verdict = "undetermined" if stats.entangled is None else str(stats.entangled).lower()
+    """Flat key-value block describing one run; no verdict without calibration."""
+    undetermined = stats.entangled is None or not stats.calibration_ok
+    verdict = "undetermined" if undetermined else str(stats.entangled).lower()
     lines = [
         f"n = {stats.n}",
         f"kappa2 = {_fmt(stats.kappa2)}",
@@ -316,7 +337,8 @@ def summary_text(stats: CycleStats) -> str:
         f"var2 = {_fmt(stats.var2)}",
         f"alpha_star = {_fmt(stats.alpha_star)}",
         f"cond_var = {_fmt(stats.cond_var)}",
-        f"atomic_var = {_fmt(stats.atomic_var_inferred)}",
+        *([f"atomic_var = {_fmt(stats.atomic_var_inferred)}"] if stats.kappa2 > 0 else []),
+        f"calibration = {'ok' if stats.calibration_ok else 'failed'}",
         f"entangled = {verdict}",
     ]
     return "\n".join(lines) + "\n"

@@ -138,6 +138,8 @@ def final_atoms(trace: PulseTrace) -> tuple[float, float, float, float]:
 
 
 _ENSEMBLE_CHUNK = 256
+#: Runs whose noise is drawn and demodulated at once, continuing the chunk's stream.
+_ROW_BLOCK = 8
 
 
 def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
@@ -163,20 +165,22 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
         m = min(_ENSEMBLE_CHUNK, n_runs - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
-        xi = rng.standard_normal((m, n_steps))
-        zeta = rng.standard_normal((m, n_steps))
+        sums = np.empty((4, m))  # xi @ c, xi @ s, then zeta @ c, zeta @ s
+        for noise in (sums[:2], sums[2:]):
+            for row in range(0, m, _ROW_BLOCK):
+                block = rng.standard_normal((min(_ROW_BLOCK, m - row), n_steps))
+                noise[:, row:row + len(block)] = block @ c, block @ s
 
-        shot_c = np.sqrt(0.5 * dt) * (xi @ c)
-        shot_s = np.sqrt(0.5 * dt) * (xi @ s)
+        shot_c, shot_s = np.sqrt(0.5 * dt) * sums[:2]
         # spin sums are constant, so the demodulated atomic terms close over
         # the exact discrete sums
         atom_c = atomic_scale * (atoms[:, 1] * sum_cc + atoms[:, 3] * sum_cs)
         atom_s = atomic_scale * (atoms[:, 1] * sum_cs + atoms[:, 3] * sum_ss)
         out[start:start + m, 0] = (shot_c + atom_c) / np.sqrt(norm_c)
         out[start:start + m, 1] = (shot_s + atom_s) / np.sqrt(norm_s)
-        out[start:start + m, 2] = atoms[:, 0] + drive_scale * (zeta @ c)
+        out[start:start + m, 2] = atoms[:, 0] + drive_scale * sums[2]
         out[start:start + m, 3] = atoms[:, 1]
-        out[start:start + m, 4] = atoms[:, 2] - drive_scale * (zeta @ s)
+        out[start:start + m, 4] = atoms[:, 2] - drive_scale * sums[3]
         out[start:start + m, 5] = atoms[:, 3]
     return out
 

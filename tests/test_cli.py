@@ -98,6 +98,24 @@ class TestRun:
         assert code == 0
         assert parse_kv(out)["entangled"] == "undetermined"
 
+    def test_zero_coupling_prints_no_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--kappa2", "0", "--cycles", "1000")
+        assert code == 0
+        values = parse_kv(out)
+        assert "atomic_var" not in values  # (cond_var - 1) / kappa2 is undefined
+        assert values["calibration"] == "ok"
+        numbers = [v for k, v in values.items() if k not in ("calibration", "entangled")]
+        assert not any(np.isnan(float(v)) for v in numbers)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stdout_same_without_out(self, capsys, tmp_path, workers):
+        # only --out materializes the cycles; the statistics are the same bits
+        args = ["run", "--kappa2", "1", "--beta", "0.65", "--cycles", "9000", "--seed", "4"]
+        _, with_csv, _ = run_cli(capsys, *args, "--out", str(tmp_path / "c.csv"))
+        code, streamed, _ = run_cli(capsys, *args, "--parallel", workers)
+        assert code == 0
+        assert streamed == with_csv
+
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--kappa2", "1", "--cycles", "100",
                                "--out", "/nonexistent_dir/x.csv")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlight.experiment import (
+    CYCLE_CHUNK,
     CalibrationError,
     CycleSet,
     conditional_variance,
@@ -15,6 +18,7 @@ from spinlight.experiment import (
     optimal_alpha,
     per_channel_alphas,
     run_cycles,
+    stream_cycle_stats,
     summary_text,
     theory_curves,
     write_cycles_csv,
@@ -64,6 +68,47 @@ class TestRunCycles:
             run_cycles(1.0, 1.5, 10, seed=0)
         with pytest.raises(ValueError):
             run_cycles(1.0, 1.0, 0, seed=0)
+
+
+class TestStreamedStats:
+    @given(n=st.integers(2, 3 * CYCLE_CHUNK + 17), parallel=st.sampled_from([1, 2, 4]),
+           kappa2=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0),
+           electronics_std=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_materialized_bitwise(self, n, parallel, kappa2, beta, electronics_std, seed):
+        streamed = stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel,
+                                      electronics_std=electronics_std)
+        records = run_cycles(kappa2, beta, n, seed, electronics_std=electronics_std)
+        # repr round-trips every float exactly and treats nan (kappa2 = 0) as equal
+        assert repr(streamed) == repr(cycle_stats(records, kappa2, beta))
+
+    def test_chunk_windows_match_serial(self):
+        # parallel 2 hands the pool 128 chunks at a time: cover two windows and a partial
+        n = 2 * 128 * CYCLE_CHUNK + 5
+        serial = run_cycles(0.6, 0.9, n, seed=57)
+        pooled = run_cycles(0.6, 0.9, n, seed=57, parallel=2)
+        assert all(np.array_equal(getattr(serial, k), getattr(pooled, k))
+                   for k in ("a1", "b1", "a2", "b2"))
+        streamed = stream_cycle_stats(0.6, 0.9, n, seed=57, parallel=2)
+        assert repr(streamed) == repr(cycle_stats(serial, 0.6, 0.9))
+
+    def test_matches_direct_sums(self):
+        # the Gram-matrix route differs from the direct sums by round-off only
+        n = 3 * CYCLE_CHUNK + 17
+        rec = run_cycles(1.449, 0.65, n, seed=61)
+        stats = cycle_stats(rec, 1.449, 0.65)
+        a1, b1, a2, b2 = rec.a1, rec.b1, rec.a2, rec.b2
+        alpha = (a1 @ a2 + b1 @ b2) / (a1 @ a1 + b1 @ b1)
+        assert optimal_alpha(rec) == stats.alpha_star
+        assert stats.alpha_star == pytest.approx(alpha, rel=1e-12)
+        assert stats.var1 == pytest.approx((a1 @ a1 + b1 @ b1) / (n - 1), rel=1e-12)
+        assert stats.var2 == pytest.approx((a2 @ a2 + b2 @ b2) / (n - 1), rel=1e-12)
+        assert stats.cond_var == pytest.approx(conditional_variance(rec, alpha), rel=1e-12)
+
+    def test_argument_validation(self):
+        for args in ((-1.0, 1.0, 10), (1.0, 1.5, 10), (1.0, 1.0, 0), (1.0, 1.0, 1)):
+            with pytest.raises(ValueError):
+                stream_cycle_stats(*args, seed=0)
 
 
 class TestAlpha:
@@ -268,6 +313,18 @@ class TestElectronicsFloor:
         row, = density_sweep([10.0], 1.0, N, seed=48, electronics_std=e_std)
         assert row.pn1 == pytest.approx(1.0, rel=0.05)
 
+    def test_electronics_noise_drawn_after_the_cycle_normals(self):
+        # the cycles at electronics_std = 0 are the same with the extra draws
+        # skipped, because they come last from each chunk's own generator
+        e_std, count = 0.3, 100
+        noisy = run_cycles(1.0, 0.65, count, seed=49, electronics_std=e_std)
+        clean = run_cycles(1.0, 0.65, count, seed=49)
+        rng = np.random.default_rng(np.random.SeedSequence(49, spawn_key=(0,)))
+        rng.standard_normal((count, 8))
+        elec = e_std * rng.standard_normal((count, 4))
+        for i, name in enumerate(("a1", "b1", "a2", "b2")):
+            assert np.array_equal(getattr(noisy, name), getattr(clean, name) + elec[:, i])
+
 
 class TestOutputs:
     def test_cycles_csv(self, tmp_path):
@@ -296,4 +353,13 @@ class TestOutputs:
         assert "entangled = true" in text
         keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
         assert keys == ["n", "kappa2", "beta", "var1", "var2", "alpha_star",
-                        "cond_var", "atomic_var", "entangled"]
+                        "cond_var", "atomic_var", "calibration", "entangled"]
+        assert "calibration = ok" in text
+
+    def test_failed_calibration_withholds_verdict(self):
+        # electronics noise lifts var1 to ~2.18, far outside 2 +- 5 standard errors
+        stats = cycle_stats(run_cycles(1.0, 1.0, N, seed=54, electronics_std=0.3), 1.0, 1.0)
+        assert not stats.calibration_ok and stats.entangled
+        text = summary_text(stats)
+        assert "calibration = failed" in text
+        assert "entangled = undetermined" in text

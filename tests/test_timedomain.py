@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spinlight.timedomain import (
+    DEFAULT_OMEGA_T,
+    _weights,
     diff_noise_growth,
     discrete_moments,
     final_atoms,
@@ -136,11 +138,50 @@ class TestDemodulation:
         assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=4 * se)
 
 
+def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed, pulse_ms=2.0):
+    """pulse_ensemble as it was before the row blocks: each 256-run chunk
+    draws its whole (m, n_steps) xi and zeta arrays."""
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps, pulse_ms)
+    sum_cc, sum_ss, sum_cs = norm_c / dt, norm_s / dt, float(np.sum(c * s))
+    out = np.empty((n_runs, 6))
+    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(pulse_ms) * dt
+    drive_scale = kappa * np.sqrt(dt / pulse_ms)
+    for chunk, start in enumerate(range(0, n_runs, 256)):
+        m = min(256, n_runs - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))
+        xi = rng.standard_normal((m, n_steps))
+        zeta = rng.standard_normal((m, n_steps))
+        atom_c = atomic_scale * (atoms[:, 1] * sum_cc + atoms[:, 3] * sum_cs)
+        atom_s = atomic_scale * (atoms[:, 1] * sum_cs + atoms[:, 3] * sum_ss)
+        out[start:start + m, 0] = (np.sqrt(0.5 * dt) * (xi @ c) + atom_c) / np.sqrt(norm_c)
+        out[start:start + m, 1] = (np.sqrt(0.5 * dt) * (xi @ s) + atom_s) / np.sqrt(norm_s)
+        out[start:start + m, 2] = atoms[:, 0] + drive_scale * (zeta @ c)
+        out[start:start + m, 3] = atoms[:, 1]
+        out[start:start + m, 4] = atoms[:, 2] - drive_scale * (zeta @ s)
+        out[start:start + m, 5] = atoms[:, 3]
+    return out
+
+
 class TestEnsembleDeterminism:
     def test_seeded_repeatability(self):
         a = pulse_ensemble(1.0, OMEGA_T, N_STEPS, 600, seed=3)
         b = pulse_ensemble(1.0, OMEGA_T, N_STEPS, 600, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("omega_t,n_steps,n_runs", [
+        (OMEGA_T, N_STEPS, 1), (OMEGA_T, N_STEPS, 3), (OMEGA_T, N_STEPS, 5),
+        (OMEGA_T, N_STEPS, 64), (OMEGA_T, N_STEPS, 257), (DEFAULT_OMEGA_T, 65_000, 64)])
+    def test_row_blocks_equal_full_arrays(self, omega_t, n_steps, n_runs):
+        got = pulse_ensemble(1.0, omega_t, n_steps, n_runs, seed=23)
+        assert np.array_equal(got, full_array_ensemble(1.0, omega_t, n_steps, n_runs, seed=23))
+
+    def test_partial_block_within_round_off(self):
+        # BLAS may group the rows of one 12-row product differently from those
+        # of an 8-row and a 4-row block, which changes the last bits of a sum
+        got = pulse_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 12, seed=29)
+        want = full_array_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 12, seed=29)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestTraceDump:
