@@ -1,0 +1,149 @@
+"""The CSV writer: byte-identical to formatting each value with `_fmt`.
+
+`write_csv` converts whole blocks in numpy and sends only the values it
+cannot certify through `_fmt`.  Every test compares its bytes with
+`reference_csv`, the per-row writer it replaced.
+"""
+
+import hashlib
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinlight.cli import main
+from spinlight.output import CSV_BLOCK_ROWS, _fmt, write_csv
+
+
+def reference_csv(header, columns) -> bytes:
+    """The per-row loop that `write_csv` replaced: `_fmt` on every value."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [",".join(header), *(",".join(_fmt(value) for value in row) for row in rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_same_bytes(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, columns)
+    got, want = path.read_bytes(), reference_csv(header, columns)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} lines differ, first {bad[:3]}")
+
+
+def as_columns(values, n_cols=3):
+    """Values laid out row by row in `n_cols` columns, padded with 1.0."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, np.ones(-len(values) % n_cols)])
+    return list(values.reshape(-1, n_cols).T)
+
+
+def exact_tie(x: float) -> bool:
+    """Whether x (with at most 60 binary places) has 18 significant digits, the last a 5."""
+    q = abs(Fraction(x))
+    digits = str(q.numerator * 10**60 // q.denominator).strip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+class TestMatchesPerValueFormat:
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-2**63, 2**63 - 1)),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_floats_and_integers(self, tmp_path_factory, rows):
+        floats = np.array([r[:2] for r in rows], dtype=np.float64).reshape(-1, 2)
+        ints = np.array([r[2] for r in rows], dtype=np.int64)
+        assert_same_bytes(tmp_path_factory.mktemp("h"), [floats[:, 0], ints, floats[:, 1]])
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        assert_same_bytes(tmp_path, as_columns(bits.view(np.float64), 5))
+
+    def test_random_values_in_the_kernel_domain(self, tmp_path):
+        rng = np.random.default_rng(21)
+        values = 10.0 ** rng.uniform(-101, 101, 10**6) * rng.choice([-1.0, 1.0], 10**6)
+        assert_same_bytes(tmp_path, as_columns(values, 5))
+
+    def test_normal_draws(self, tmp_path):
+        assert_same_bytes(tmp_path, as_columns(np.random.default_rng(22).normal(size=10**5), 4))
+
+    def test_integer_columns(self, tmp_path):
+        rng = np.random.default_rng(23)
+        big = rng.integers(-2**63, 2**63 - 1, size=10**4, dtype=np.int64)
+        near = 2**53 + np.arange(-50, 50, dtype=np.int64)
+        assert_same_bytes(tmp_path, [np.arange(10**4), big, np.resize(near, 10**4),
+                                     np.arange(10**4, dtype=np.uint32)])
+
+    def test_exact_decimal_ties(self, tmp_path):
+        # m * 2**-j with m odd has the digits of m * 5**j, ending in 5; 18 of
+        # them make a tie at the 17th digit
+        rng = np.random.default_rng(24)
+        ties = []
+        for j in range(1, 30):
+            low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+            if low < high:
+                ties += [math.ldexp(m, -j) for m in (rng.integers(low, high, 40) | 1).tolist()
+                         if m < high]
+        assert len(ties) > 400 and all(exact_tie(t) for t in ties)
+        dyadic = [math.ldexp(int(m), int(e)) for m, e in zip(
+            rng.integers(1, 2**53, 20000), rng.integers(-80, 20, 20000))]
+        assert_same_bytes(tmp_path, as_columns([*ties, *np.negative(ties), *dyadic], 3))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+        values = [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        assert_same_bytes(tmp_path, as_columns(np.concatenate([*values, -powers]), 3))
+
+    def test_edges(self, tmp_path):
+        values = [9.9999999999999999e-05, 99999999999999999.0, 1e16, 1e17, 0.0001, 1e-5,
+                  0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1e-99, np.nextafter(1e-99, 0), 1e99, np.nextafter(1e99, 0), 1e100,
+                  0.5, 0.1, 1.5, 2.0**53, 2.0**53 + 2, 2.0**63, 123456789012345678.0]
+        for n_cols in (1, 2, 3, 7):
+            assert_same_bytes(tmp_path, as_columns(values, n_cols))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                        CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+    def test_block_sizes(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        assert_same_bytes(tmp_path, [np.arange(n_rows), rng.normal(size=n_rows),
+                                     rng.normal(size=n_rows) * 1e-6])
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("columns", [
+        [np.arange(3.0), np.arange(4.0)],
+        [np.arange(4.0), np.arange(3.0)],
+        [np.arange(3.0), np.ones((3, 1))],
+    ])
+    def test_unequal_columns_rejected(self, tmp_path, columns):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), ("a", "b"), columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
+    def test_header_width_mismatch_rejected(self, tmp_path, header):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), header, [np.arange(3.0), np.arange(3.0)])
+        assert not path.exists()
+
+
+def test_run_csv_bytes_pinned(tmp_path, capsys):
+    """The run CSV hashes to what per-value formatting wrote.
+
+    Its columns come from PCG64 normals and correctly rounded sqrt, products
+    and sums, not from BLAS, so the bytes hold wherever numpy draws the same
+    normals.
+    """
+    path = tmp_path / "cycles.csv"
+    assert main(["run", "--kappa2", "1", "--beta", "0.65", "--cycles", "12305",
+                 "--seed", "1111", "--parallel", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d5db83f4eea7e2d32f7b32c0bb39a0b658427732076848722f10dc18b20dc7da")
