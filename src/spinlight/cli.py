@@ -163,14 +163,8 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    kappa2 = config.resolve_kappa2()
-    args = (kappa2, config.beta, config.cycles, config.seed)
-    if config.out is None:  # only the CSV needs the cycles themselves
-        stats = experiment.stream_cycle_stats(*args, parallel=config.parallel)
-    else:
-        records = experiment.run_cycles(*args, parallel=config.parallel)
-        stats = experiment.cycle_stats(records, kappa2, config.beta)
-        experiment.write_cycles_csv(records, config.out)
+    stats = experiment.stream_cycle_stats(config.resolve_kappa2(), config.beta, config.cycles,
+                                          config.seed, parallel=config.parallel, out=config.out)
     sys.stdout.write(experiment.summary_text(stats))
     return 0
 
@@ -188,60 +182,12 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-#: Moments compared between the stochastic and symplectic engines, as
-#: (label, row index, col index) into (x_l1, x_l2, X_A1, P_A1, X_A2, P_A2).
-_MOMENT_CHECKS = (
-    ("var(x_l1)", 0, 0), ("var(x_l2)", 1, 1), ("cov(x_l1,x_l2)", 0, 1),
-    ("var(X_A1)", 2, 2), ("var(P_A1)", 3, 3), ("var(X_A2)", 4, 4),
-    ("var(P_A2)", 5, 5), ("cov(x_l1,P_A1)", 0, 3), ("cov(x_l2,P_A2)", 1, 5),
-    ("cov(X_A1,P_A1)", 2, 3), ("cov(x_l1,X_A1)", 0, 2),
-)
-
-
-def engine_pulse_covariance(kappa: float) -> np.ndarray:
-    """Symplectic-engine covariance of (x_l1, x_l2, X_A1, P_A1, X_A2, P_A2)."""
-    state = gaussian.vacuum_state(4, ["pair_a", "pair_b", "light1", "light2"])
-    state = gaussian.apply_qnd(state, "pair_a", "light1", kappa)
-    state = gaussian.apply_qnd(state, "pair_b", "light2", kappa)
-    order = [state.x_index("light1"), state.x_index("light2"),
-             state.x_index("pair_a"), state.p_index("pair_a"),
-             state.x_index("pair_b"), state.p_index("pair_b")]
-    return state.cov[np.ix_(order, order)]
-
-
-def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
-                      seed: int, tolerance: float = 0.03) -> list[tuple[str, float, float, bool]]:
-    """Compare Monte Carlo moments against the engine's exact prediction.
-
-    Entries are held to |mc - exact| <= tolerance * max(|exact|, 1/2); signs
-    of the X_A back-action differ between the raw rotating-frame equations
-    and the canonical pair map, so only magnitude-symmetric entries are
-    compared (variances and the cross terms that vanish or match).  Sample
-    means are checked against the engine's zero means at 5 standard errors.
-    """
-    ensemble = timedomain.pulse_ensemble(kappa, omega_T, n_steps, n_runs, seed)
-    mc_cov = np.cov(ensemble, rowvar=False)
-    exact = engine_pulse_covariance(kappa)
-    rows = []
-    names = ("x_l1", "x_l2", "X_A1", "P_A1", "X_A2", "P_A2")
-    for i, name in enumerate(names):
-        got = float(ensemble[:, i].mean())
-        bound = 5.0 * np.sqrt(exact[i, i] / n_runs)
-        rows.append((f"mean({name})", got, 0.0, abs(got) <= bound))
-    for label, i, j in _MOMENT_CHECKS:
-        want = float(exact[i, j])
-        got = float(mc_cov[i, j])
-        ok = abs(got - want) <= tolerance * max(abs(want), 0.5)
-        rows.append((label, got, want, ok))
-    return rows
-
-
 def cmd_timedomain(config: RunConfig) -> int:
     kappa2 = config.resolve_kappa2()
     kappa = float(np.sqrt(kappa2))
     omega_T = timedomain.DEFAULT_OMEGA_T
     n_steps = round(timedomain.STEPS_PER_CYCLE * omega_T / (2.0 * np.pi))
-    rows = cross_engine_rows(kappa, config.cycles, omega_T, n_steps, config.seed)
+    rows = experiment.cross_engine_rows(kappa, config.cycles, omega_T, n_steps, config.seed)
     print(f"kappa2 = {_fmt(kappa2)}")
     print(f"runs = {config.cycles}")
     print(f"{'moment':<18}{'timedomain':>14}{'engine':>14}  status")
@@ -290,7 +236,7 @@ def cmd_protocol(config: RunConfig) -> int:
     print(f"mean_displacement_error_p = {_fmt(ep)}")
     if record and result.runs is not None:
         write_csv(config.out, ("run_index", *result.run_columns),
-                  (np.arange(result.n_runs), *result.runs.T))
+                  [(np.arange(result.n_runs), *result.runs.T)])
     return 0
 
 

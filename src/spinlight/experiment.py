@@ -11,24 +11,25 @@ with l1, l2, p, w independent N(0, 1/2) per channel, which is exactly the
 joint outcome distribution produced by sequential Gaussian conditioning.
 The symplectic engine provides the independent deterministic route for the
 same quantities (see engine_conditioned_duan); the two are cross-checked in
-the test suite rather than sharing code.
+the test suite rather than sharing code.  cross_engine_rows holds the
+time-domain engine's pulse moments against the symplectic engine.
 
-Cycles are simulated in fixed-size chunks whose generators derive from the
-master seed and the chunk index, so any degree of parallelism produces
-byte-identical results.  The statistics need only the 4x4 Gram matrix of the
-outcomes, summed in chunk order, so stream_cycle_stats keeps no cycles.
+Cycles are simulated in the seeded chunks of spinlight.chunks, so any
+degree of parallelism produces byte-identical results.  The statistics need
+only the 4x4 Gram matrix of the outcomes, summed in chunk order, so
+stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, timedomain
+from .chunks import chunk_map
 from .output import _fmt, write_csv
 from .physics import kappa2_experimental
 
@@ -91,48 +92,29 @@ class SweepRow:
     theory_alpha_ideal: float
 
 
-def _simulate_chunk(kappa2: float, beta: float, seed: int, chunk: int,
-                    out: np.ndarray, electronics_std: float) -> None:
-    """Fill `out`, shape (count, 4), with the cycles of chunk index `chunk`."""
-    count = len(out)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-    kappa = np.sqrt(kappa2)
-    z = np.sqrt(0.5) * rng.standard_normal((count, 8))
-    p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]  # (channel a, channel b)
-    out[:, 0:2] = l1 + kappa * p
-    out[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
-    if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
-        out += electronics_std * rng.standard_normal((count, 4))
-
-
-def _simulate(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
-              electronics_std: float, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gram matrix of the (a1, b1, a2, b2) rows summed over the chunks in chunk
-    order, and the (n_cycles, 4) rows themselves if `keep`.
-
-    numpy's generators release the GIL while drawing, so threads scale; the
-    pool starts no thread at parallel 1, where the builtin map runs inline.
-    """
+def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
+            electronics_std: float):
+    """(start, rows, rows.T @ rows) of each chunk in chunk order, where rows
+    is the chunk's (count, 4) array of (a1, b1, a2, b2) outcomes."""
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
-    data = np.empty((n_cycles, 4)) if keep else None
+    kappa = np.sqrt(kappa2)
 
-    def chunk_gram(chunk: int) -> np.ndarray:
-        rows = slice(chunk * CYCLE_CHUNK, min(n_cycles, (chunk + 1) * CYCLE_CHUNK))
-        block = data[rows] if keep else np.empty((rows.stop - rows.start, 4))
-        _simulate_chunk(kappa2, beta, seed, chunk, block, electronics_std)
-        return block.T @ block
+    def chunk(rng: np.random.Generator, start: int, count: int):
+        z = np.sqrt(0.5) * rng.standard_normal((count, 8))
+        p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]  # (channel a, channel b)
+        rows = np.empty((count, 4))
+        rows[:, 0:2] = l1 + kappa * p
+        rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
+        if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
+            rows += electronics_std * rng.standard_normal((count, 4))
+        return start, rows, rows.T @ rows
 
-    chunks = range(-(-n_cycles // CYCLE_CHUNK))
-    window = 64 * parallel  # chunks handed to the pool at once, so few results wait
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        chunk_map = map if parallel == 1 else pool.map
-        return sum(gram for first in range(0, len(chunks), window)
-                   for gram in chunk_map(chunk_gram, chunks[first:first + window])), data
+    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
 
 def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
@@ -140,10 +122,11 @@ def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
     """Simulate the two-pulse measurement cycle n_cycles times.
 
     Deterministic for a given seed at every parallelism level: each chunk
-    draws from its own generator into its own rows of one output array.
+    draws from its own generator.
     """
-    _, data = _simulate(kappa2, beta, n_cycles, seed, parallel, electronics_std, keep=True)
-    return CycleSet(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    data = np.concatenate([rows for _, rows, _ in _cycles(
+        kappa2, beta, n_cycles, seed, parallel, electronics_std)])
+    return CycleSet(*data.T)
 
 
 def _weight(num: float, denom: float) -> float:
@@ -205,13 +188,16 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     first, second = gram[0, 0] + gram[1, 1], gram[2, 2] + gram[3, 3]
     cross = gram[0, 2] + gram[1, 3]
     alpha = _weight(float(cross), float(first))
-    var1 = float(first / (n - 1))
+    var1, var2 = float(first / (n - 1)), float(second / (n - 1))
     cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
     bound = 1.0 + kappa2
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
-    calibration_ok = bool(abs(var1 - bound) <= 5.0 * bound / np.sqrt(n - 1))
-    return CycleStats(n=n, var1=var1, var2=float(second / (n - 1)), alpha_star=alpha,
+    width = 5.0 * bound / np.sqrt(n - 1)
+    if not np.isfinite([var1, var2, cond, width]).all():
+        raise ValueError(f"the statistics at kappa2 = {_fmt(kappa2)} are not finite")
+    calibration_ok = bool(abs(var1 - bound) <= width)
+    return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha,
                       cond_var=cond, atomic_var_inferred=atomic,
                       entangled=bool(cond < bound) if kappa2 > 0 else None,
                       kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
@@ -233,9 +219,31 @@ def cycle_stats(records: CycleSet, kappa2: float, beta: float) -> CycleStats:
 
 
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
-                       parallel: int = 1, electronics_std: float = 0.0) -> CycleStats:
-    """cycle_stats(run_cycles(...)), bit for bit, without keeping the cycles."""
-    gram, _ = _simulate(kappa2, beta, n_cycles, seed, parallel, electronics_std, keep=False)
+                       parallel: int = 1, electronics_std: float = 0.0,
+                       out: str | None = None) -> CycleStats:
+    """cycle_stats(run_cycles(...)), bit for bit, without keeping the cycles.
+
+    With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
+    CSV as they arrive.  Raises ValueError when the outcome sums or the
+    statistics are not finite; for sums that overflow in the first chunk,
+    before `out` is opened.
+    """
+    gram = 0
+
+    def blocks():
+        nonlocal gram
+        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel,
+                                               electronics_std):
+            gram = gram + chunk_gram
+            if not np.isfinite(gram).all():
+                raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
+            yield np.arange(start, start + len(rows)), *rows.T
+
+    if out is None:
+        for _ in blocks():
+            pass
+    else:
+        write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"), blocks())
     return _stats(gram, n_cycles, kappa2, beta)
 
 
@@ -281,6 +289,54 @@ def engine_conditioned_duan(kappa2: float, beta: float) -> float:
     return gaussian.duan_sum(state, "pair_a", "pair_b")
 
 
+#: Moments compared between the stochastic and symplectic engines, as
+#: (label, row index, col index) into (x_l1, x_l2, X_A1, P_A1, X_A2, P_A2).
+_MOMENT_CHECKS = (
+    ("var(x_l1)", 0, 0), ("var(x_l2)", 1, 1), ("cov(x_l1,x_l2)", 0, 1),
+    ("var(X_A1)", 2, 2), ("var(P_A1)", 3, 3), ("var(X_A2)", 4, 4),
+    ("var(P_A2)", 5, 5), ("cov(x_l1,P_A1)", 0, 3), ("cov(x_l2,P_A2)", 1, 5),
+    ("cov(X_A1,P_A1)", 2, 3), ("cov(x_l1,X_A1)", 0, 2),
+)
+
+
+def engine_pulse_covariance(kappa: float) -> np.ndarray:
+    """Symplectic-engine covariance of (x_l1, x_l2, X_A1, P_A1, X_A2, P_A2)."""
+    state = gaussian.vacuum_state(4, ["pair_a", "pair_b", "light1", "light2"])
+    state = gaussian.apply_qnd(state, "pair_a", "light1", kappa)
+    state = gaussian.apply_qnd(state, "pair_b", "light2", kappa)
+    order = [state.x_index("light1"), state.x_index("light2"),
+             state.x_index("pair_a"), state.p_index("pair_a"),
+             state.x_index("pair_b"), state.p_index("pair_b")]
+    return state.cov[np.ix_(order, order)]
+
+
+def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
+                      seed: int, tolerance: float = 0.03) -> list[tuple[str, float, float, bool]]:
+    """Compare Monte Carlo moments against the engine's exact prediction.
+
+    Entries are held to |mc - exact| <= tolerance * max(|exact|, 1/2); signs
+    of the X_A back-action differ between the raw rotating-frame equations
+    and the canonical pair map, so only magnitude-symmetric entries are
+    compared (variances and the cross terms that vanish or match).  Sample
+    means are checked against the engine's zero means at 5 standard errors.
+    """
+    ensemble = timedomain.pulse_ensemble(kappa, omega_T, n_steps, n_runs, seed)
+    mc_cov = np.cov(ensemble, rowvar=False)
+    exact = engine_pulse_covariance(kappa)
+    rows = []
+    names = ("x_l1", "x_l2", "X_A1", "P_A1", "X_A2", "P_A2")
+    for i, name in enumerate(names):
+        got = float(ensemble[:, i].mean())
+        bound = 5.0 * np.sqrt(exact[i, i] / n_runs)
+        rows.append((f"mean({name})", got, 0.0, abs(got) <= bound))
+    for label, i, j in _MOMENT_CHECKS:
+        want = float(exact[i, j])
+        got = float(mc_cov[i, j])
+        ok = abs(got - want) <= tolerance * max(abs(want), 0.5)
+        rows.append((label, got, want, ok))
+    return rows
+
+
 def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
                   seed: int, parallel: int = 1,
                   electronics_std: float = 0.0) -> list[SweepRow]:
@@ -313,16 +369,10 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     return rows
 
 
-def write_cycles_csv(records: CycleSet, path: str) -> None:
-    """cycle_index, a1, b1, a2, b2 with round-trip-exact reals."""
-    write_csv(path, ("cycle_index", "a1", "b1", "a2", "b2"),
-              (np.arange(len(records)), records.a1, records.b1, records.a2, records.b2))
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
     """SweepRow columns in declared order."""
     names = [f.name for f in fields(SweepRow)]
-    write_csv(path, names, np.array([[getattr(row, name) for row in rows] for name in names]))
+    write_csv(path, names, [np.array([[getattr(row, name) for row in rows] for name in names])])
 
 
 def summary_text(stats: CycleStats) -> str:

@@ -20,7 +20,7 @@ either way.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -164,27 +164,36 @@ def _format_rows(block: np.ndarray) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length 1-D columns under `header`, one row per index.
-
-    Every value is written as ``_fmt(float(value))``; integer columns go
-    through float64, as ``"%.17g"`` does.  Raises ValueError, before the
-    file is opened, when the columns differ in length or in number from the
-    header.
-    """
-    columns = [np.asarray(col) for col in columns]
-    if len(columns) != len(header):
-        raise ValueError(f"{len(columns)} columns under a header of {len(header)} names")
-    shapes = {col.shape for col in columns}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
-    n_rows = len(columns[0]) if columns else 0
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode())
+def _csv_text(header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
+    """CSV text of each block's rows, CSV_BLOCK_ROWS at a time; each block is checked first."""
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        if len(columns) != len(header):
+            raise ValueError(f"{len(columns)} columns under a header of {len(header)} names")
+        shapes = {col.shape for col in columns}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        n_rows = len(columns[0]) if columns else 0
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
             block = np.empty((stop - start, len(columns)), dtype=np.float64)
             for j, col in enumerate(columns):
                 block[:, j] = col[start:stop]
-            fh.write(_format_rows(block))
+            yield _format_rows(block)
+
+
+def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write `header`, then the rows of each block of equal-length 1-D columns.
+
+    Every value is written as ``_fmt(float(value))``; integer columns go
+    through float64, as ``"%.17g"`` does.  How the rows are split into
+    blocks does not change the bytes.  Raises ValueError when a block's
+    columns differ in length or in number from the header; for the first
+    block, before the file is opened.
+    """
+    text = _csv_text(header, blocks)
+    first = next(text, b"")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + first)
+        fh.writelines(text)
         fh.write(b"\n")

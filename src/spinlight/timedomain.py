@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chunks import chunk_map
 from .output import write_csv
 
 #: Default Larmor cycles per pulse: 325 kHz * 2 ms.
@@ -147,8 +148,8 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     """Monte Carlo over pulses with vacuum atomic input.
 
     Returns an array of shape (n_runs, 6) with columns
-    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2).  Chunked with per-chunk
-    seed derivation so results do not depend on how work is scheduled.
+    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), drawn in the seeded
+    chunks of spinlight.chunks, serially.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -161,9 +162,8 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     out = np.empty((n_runs, 6))
     atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(pulse_ms) * dt
     drive_scale = kappa * np.sqrt(dt / pulse_ms)
-    for chunk, start in enumerate(range(0, n_runs, _ENSEMBLE_CHUNK)):
-        m = min(_ENSEMBLE_CHUNK, n_runs - start)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+
+    def chunk(rng: np.random.Generator, start: int, m: int) -> None:
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
         sums = np.empty((4, m))  # xi @ c, xi @ s, then zeta @ c, zeta @ s
         for noise in (sums[:2], sums[2:]):
@@ -182,6 +182,9 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
         out[start:start + m, 3] = atoms[:, 1]
         out[start:start + m, 4] = atoms[:, 2] - drive_scale * sums[3]
         out[start:start + m, 5] = atoms[:, 3]
+
+    for _ in chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed):
+        pass  # each chunk fills its own rows of out
     return out
 
 
@@ -242,5 +245,5 @@ def write_trace_csv(trace: PulseTrace, path: str) -> None:
     """Dump one pulse trace: step, t_ms, sy_sample, jy_sum, jz_sum, jy_diff, jz_diff."""
     steps = np.arange(trace.n_steps)
     write_csv(path, ("step", "t_ms", "sy_sample", "jy_sum", "jz_sum", "jy_diff", "jz_diff"),
-              (steps, (steps + 0.5) * trace.dt_ms, trace.sy_samples,
-               *trace.spin_sums.T, *trace.spin_diffs.T))
+              [(steps, (steps + 0.5) * trace.dt_ms, trace.sy_samples,
+                *trace.spin_sums.T, *trace.spin_diffs.T)])

@@ -13,7 +13,7 @@ import pytest
 
 from linear_oracle import swap_duan_sum, teleport_mean_fidelity
 
-from spinlight import cli
+from spinlight import cli, experiment
 from spinlight.experiment import (
     cycle_stats,
     engine_conditioned_duan,
@@ -116,8 +116,8 @@ def test_criterion_07_cross_engine_oracle():
     start = time.perf_counter()
     worst = 0.0
     for kappa in (0.5, 1.0, 2.0):
-        rows = cli.cross_engine_rows(kappa, 20_000, 2.0 * np.pi * 100.0,
-                                     10_000, seed=17)
+        rows = experiment.cross_engine_rows(kappa, 20_000, 2.0 * np.pi * 100.0,
+                                            10_000, seed=17)
         for label, got, want, ok in rows:
             assert ok, (kappa, label, got, want)
             worst = max(worst, abs(got - want) / max(abs(want), 0.5))

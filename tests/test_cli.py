@@ -109,12 +109,32 @@ class TestRun:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_stdout_same_without_out(self, capsys, tmp_path, workers):
-        # only --out materializes the cycles; the statistics are the same bits
+        # --out writes each chunk's rows as it reduces them; the statistics are the same bits
         args = ["run", "--kappa2", "1", "--beta", "0.65", "--cycles", "9000", "--seed", "4"]
         _, with_csv, _ = run_cli(capsys, *args, "--out", str(tmp_path / "c.csv"))
         code, streamed, _ = run_cli(capsys, *args, "--parallel", workers)
         assert code == 0
         assert streamed == with_csv
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_overflowing_sums_refused(self, capsys, tmp_path, with_out):
+        # at kappa2 = 1e308 the squared outcomes overflow: no summary, no CSV
+        path = tmp_path / "cycles.csv"
+        code, out, err = run_cli(capsys, "run", "--kappa2", "1e308", "--cycles", "100",
+                                 *(("--out", str(path)) if with_out else ()))
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_statistics_refused(self, capsys):
+        # finite sums, but var1 = (S_a1 + S_b1) / (n - 1) overflows
+        code, out, err = run_cli(capsys, "run", "--kappa2", "3e306", "--cycles", "100")
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
 
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--kappa2", "1", "--cycles", "100",
@@ -157,6 +177,16 @@ class TestSweep:
         pn = [float(c["pn1"]) for c in rows]
         slope = np.polyfit(thetas, pn, 1)[0]
         assert slope == pytest.approx(0.10, rel=0.05)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sums_refused(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--theta-grid", "2,1e308",
+                                 "--cycles", "100", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+        assert not path.exists()
 
     def test_missing_out_is_usage_error(self, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):

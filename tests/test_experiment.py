@@ -21,9 +21,9 @@ from spinlight.experiment import (
     stream_cycle_stats,
     summary_text,
     theory_curves,
-    write_cycles_csv,
     write_sweep_csv,
 )
+from spinlight.output import CSV_BLOCK_ROWS, write_csv
 
 N = 100_000
 
@@ -81,6 +81,38 @@ class TestStreamedStats:
         records = run_cycles(kappa2, beta, n, seed, electronics_std=electronics_std)
         # repr round-trips every float exactly and treats nan (kappa2 = 0) as equal
         assert repr(streamed) == repr(cycle_stats(records, kappa2, beta))
+
+    @given(n=st.sampled_from([2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, CYCLE_CHUNK - 1,
+                              CYCLE_CHUNK, CYCLE_CHUNK + 1, 2 * CYCLE_CHUNK + CSV_BLOCK_ROWS])
+           | st.integers(2, 3 * CYCLE_CHUNK + 17),
+           parallel=st.sampled_from([1, 2, 4]), electronics_std=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_streamed_csv_equals_one_block(self, tmp_path_factory, n, parallel,
+                                           electronics_std, seed):
+        tmp = tmp_path_factory.mktemp("csv")
+        args = (0.7, 0.8, n, seed)
+        streamed = stream_cycle_stats(*args, parallel=parallel, electronics_std=electronics_std,
+                                      out=str(tmp / "streamed.csv"))
+        assert repr(streamed) == repr(stream_cycle_stats(
+            *args, parallel=parallel, electronics_std=electronics_std))
+        rec = run_cycles(*args, electronics_std=electronics_std)
+        write_csv(str(tmp / "whole.csv"), ("cycle_index", "a1", "b1", "a2", "b2"),
+                  [(np.arange(n), rec.a1, rec.b1, rec.a2, rec.b2)])
+        assert (tmp / "streamed.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_in_first_chunk_refused_before_the_csv(self, tmp_path):
+        path = tmp_path / "cycles.csv"
+        with pytest.raises(ValueError, match="not finite"):
+            stream_cycle_stats(1e308, 1.0, 100, seed=1, out=str(path))
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_of_the_chunk_sum_refused(self):
+        # each chunk's sum of a1^2 is about 1.2e308, finite; two of them are not
+        with pytest.raises(ValueError, match="not finite"):
+            stream_cycle_stats(6e304, 1.0, 2 * CYCLE_CHUNK, seed=1)
 
     def test_chunk_windows_match_serial(self):
         # parallel 2 hands the pool 128 chunks at a time: cover two windows and a partial
@@ -330,7 +362,7 @@ class TestOutputs:
     def test_cycles_csv(self, tmp_path):
         rec = run_cycles(1.0, 1.0, 50, seed=51)
         path = tmp_path / "cycles.csv"
-        write_cycles_csv(rec, str(path))
+        stream_cycle_stats(1.0, 1.0, 50, seed=51, out=str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "cycle_index,a1,b1,a2,b2"
         assert len(lines) == 51

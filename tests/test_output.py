@@ -28,7 +28,7 @@ def reference_csv(header, columns) -> bytes:
 def assert_same_bytes(tmp_path, columns):
     header = [f"c{j}" for j in range(len(columns))]
     path = tmp_path / "out.csv"
-    write_csv(str(path), header, columns)
+    write_csv(str(path), header, [columns])
     got, want = path.read_bytes(), reference_csv(header, columns)
     if got != want:
         bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
@@ -123,15 +123,41 @@ class TestShapeChecks:
     def test_unequal_columns_rejected(self, tmp_path, columns):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError):
-            write_csv(str(path), ("a", "b"), columns)
+            write_csv(str(path), ("a", "b"), [columns])
         assert not path.exists()
 
     @pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
     def test_header_width_mismatch_rejected(self, tmp_path, header):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError):
-            write_csv(str(path), header, [np.arange(3.0), np.arange(3.0)])
+            write_csv(str(path), header, [[np.arange(3.0), np.arange(3.0)]])
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [[np.arange(2.0)], [np.arange(2.0), np.arange(3.0)],
+                                     [np.arange(2.0), np.ones((2, 1))]])
+    def test_malformed_later_block_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "out.csv"), ("a", "b"),
+                      [[np.arange(3.0), np.arange(3.0)], bad])
+
+
+class TestBlocks:
+    @given(st.integers(0, 3 * CSV_BLOCK_ROWS + 7),
+           st.lists(st.integers(0, 3 * CSV_BLOCK_ROWS + 7), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_gives_the_same_bytes(self, tmp_path_factory, n_rows, cuts):
+        rng = np.random.default_rng(n_rows)
+        columns = [np.arange(n_rows), rng.normal(size=n_rows), rng.normal(size=n_rows) * 1e-6]
+        bounds = [0, *sorted(min(c, n_rows) for c in cuts), n_rows]
+        blocks = [[col[a:b] for col in columns] for a, b in zip(bounds, bounds[1:])]
+        path = tmp_path_factory.mktemp("split") / "out.csv"
+        write_csv(str(path), ("c0", "c1", "c2"), blocks)
+        assert path.read_bytes() == reference_csv(("c0", "c1", "c2"), columns)
+
+    def test_no_blocks_writes_the_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ("a", "b"), [])
+        assert path.read_bytes() == b"a,b\n"
 
 
 def test_run_csv_bytes_pinned(tmp_path, capsys):
