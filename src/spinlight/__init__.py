@@ -4,7 +4,6 @@ time domain, Monte Carlo measurement cycles, and CV protocols."""
 
 from .gaussian import (
     GaussianState,
-    MeasurementOutcome,
     apply_beta_decay,
     apply_qnd,
     coherent_fidelity,
@@ -56,7 +55,7 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianState", "MeasurementOutcome", "vacuum_state", "displace",
+    "GaussianState", "vacuum_state", "displace",
     "apply_qnd", "measure_x", "apply_beta_decay", "duan_sum",
     "two_mode_squeeze", "coherent_fidelity",
     "PhysicalParams", "Calibration", "calibrate", "coupling_a",

@@ -64,12 +64,9 @@ class RunConfig:
             raise UsageError("kappa2 must be >= 0")
 
     def physical_params(self) -> physics.PhysicalParams:
-        try:
-            return physics.PhysicalParams(
-                detuning_MHz=self.detuning_mhz, power_mW=self.power_mw,
-                pulse_ms=self.pulse_ms, n_atoms=self.n_atoms)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return physics.PhysicalParams(
+            detuning_MHz=self.detuning_mhz, power_mW=self.power_mw,
+            pulse_ms=self.pulse_ms, n_atoms=self.n_atoms)
 
     def resolve_kappa2(self) -> float:
         """Explicit --kappa2 wins; otherwise derive it from the physical side."""
@@ -170,8 +167,6 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    if not config.theta_grid:
-        raise UsageError("theta grid must be nonempty")
     if config.out is None:
         raise UsageError("sweep requires --out for the CSV")
     rows = experiment.density_sweep(config.theta_grid, config.beta,
@@ -200,10 +195,11 @@ def cmd_timedomain(config: RunConfig) -> int:
     trace, _ = timedomain.simulate_pulse(kappa, omega_T, n_steps,
                                          (0.0, 0.0, 0.0, 0.0), rng)
     drift = float(np.max(np.abs(trace.spin_sums - trace.spin_sums[0])))
-    print(f"spin-sum drift = {drift:.3e} ({'PASS' if drift <= 1e-10 else 'FAIL'})")
+    drift_ok = drift <= 1e-10
+    print(f"spin-sum drift = {drift:.3e} ({'PASS' if drift_ok else 'FAIL'})")
     if config.out is not None:
         timedomain.write_trace_csv(trace, config.out)
-    passed = all_ok and drift <= 1e-10
+    passed = all_ok and drift_ok
     print(f"overall = {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 4
 
@@ -212,8 +208,7 @@ def cmd_protocol(config: RunConfig) -> int:
     if config.protocol is None:
         raise UsageError("--protocol is required (teleport, swap, memory)")
     kappa2 = config.resolve_kappa2()
-    record = config.out is not None
-    runs = dict(n_runs=config.cycles, seed=config.seed, record_runs=record)
+    runs = dict(n_runs=config.cycles, seed=config.seed)
     if config.protocol == "teleport":
         result = protocols.teleport_spin_state((0.0, 0.0), kappa2, gain=config.gain, **runs)
     elif config.protocol == "swap":
@@ -234,10 +229,19 @@ def cmd_protocol(config: RunConfig) -> int:
     ex, ep = result.mean_displacement_error
     print(f"mean_displacement_error_x = {_fmt(ex)}")
     print(f"mean_displacement_error_p = {_fmt(ep)}")
-    if record and result.runs is not None:
-        write_csv(config.out, ("run_index", *result.run_columns),
-                  [(np.arange(result.n_runs), *result.runs.T)])
+    if config.out is not None:
+        write_csv(config.out, ("run_index", *result.runs),
+                  [(np.arange(result.n_runs), *result.runs.values())])
     return 0
+
+
+_COMMANDS = {
+    "calibrate": ("report coupling constants for lab parameters", cmd_calibrate),
+    "run": ("Monte Carlo measurement cycles at one operating point", cmd_run),
+    "sweep": ("projection-noise / entanglement sweep over density", cmd_sweep),
+    "timedomain": ("cross-check stochastic engine vs Gaussian engine", cmd_timedomain),
+    "protocol": ("run teleport/swap/memory on the Gaussian engine", cmd_protocol),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,12 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Two-cell QND entanglement simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = _field_parsers()
-    for name, help_text in (
-            ("calibrate", "report coupling constants for lab parameters"),
-            ("run", "Monte Carlo measurement cycles at one operating point"),
-            ("sweep", "projection-noise / entanglement sweep over density"),
-            ("timedomain", "cross-check stochastic engine vs Gaussian engine"),
-            ("protocol", "run teleport/swap/memory on the Gaussian engine")):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config")
         for key, parse in parsers.items():
@@ -263,24 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "timedomain": cmd_timedomain,
-    "protocol": cmd_protocol,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = load_config(args)
-        return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _COMMANDS[args.command][1](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

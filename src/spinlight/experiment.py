@@ -194,7 +194,8 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
     width = 5.0 * bound / np.sqrt(n - 1)
-    if not np.isfinite([var1, var2, cond, width]).all():
+    # atomic is nan at kappa2 = 0 and left unprinted; at subnormal kappa2 it overflows
+    if not np.isfinite([var1, var2, cond, width, atomic if kappa2 > 0 else 0.0]).all():
         raise ValueError(f"the statistics at kappa2 = {_fmt(kappa2)} are not finite")
     calibration_ok = bool(abs(var1 - bound) <= width)
     return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha,
@@ -311,10 +312,10 @@ def engine_pulse_covariance(kappa: float) -> np.ndarray:
 
 
 def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
-                      seed: int, tolerance: float = 0.03) -> list[tuple[str, float, float, bool]]:
+                      seed: int) -> list[tuple[str, float, float, bool]]:
     """Compare Monte Carlo moments against the engine's exact prediction.
 
-    Entries are held to |mc - exact| <= tolerance * max(|exact|, 1/2); signs
+    Entries are held to |mc - exact| <= 0.03 * max(|exact|, 1/2); signs
     of the X_A back-action differ between the raw rotating-frame equations
     and the canonical pair map, so only magnitude-symmetric entries are
     compared (variances and the cross terms that vanish or match).  Sample
@@ -332,7 +333,7 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
     for label, i, j in _MOMENT_CHECKS:
         want = float(exact[i, j])
         got = float(mc_cov[i, j])
-        ok = abs(got - want) <= tolerance * max(abs(want), 0.5)
+        ok = abs(got - want) <= 0.03 * max(abs(want), 0.5)
         rows.append((label, got, want, ok))
     return rows
 

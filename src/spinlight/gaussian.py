@@ -77,15 +77,6 @@ class GaussianState:
         return float(self.cov[q, q])
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One homodyne result in canonical units (an array for a batch)."""
-
-    value: float | np.ndarray
-    mode: str
-    quadrature: str = "x"
-
-
 def _new_state(labels: Sequence[str], mean: np.ndarray, cov: np.ndarray) -> GaussianState:
     cov = 0.5 * (cov + cov.T)  # keep exactly symmetric after every update
     return GaussianState(tuple(labels), np.asarray(mean, float), cov)
@@ -188,8 +179,8 @@ def apply_qnd(state: GaussianState, atom: ModeRef, light: ModeRef,
 
 
 def measure_x(state: GaussianState, mode: ModeRef,
-              rng: np.random.Generator) -> tuple[MeasurementOutcome, GaussianState]:
-    """Homodyne the X quadrature of a mode and remove that mode.
+              rng: np.random.Generator) -> tuple[float | np.ndarray, GaussianState]:
+    """Homodyne the X quadrature of a mode; return (outcome, state without the mode).
 
     The outcome is drawn from the Gaussian marginal; the remaining modes are
     conditioned with the standard linear-update / Schur-complement rule, so
@@ -219,8 +210,7 @@ def measure_x(state: GaussianState, mode: ModeRef,
     mean += np.multiply.outer(value - mu_m, gain)
     cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, state.cov[xq, keep])
     labels = [lab for k, lab in enumerate(state.labels) if k != im]
-    return (MeasurementOutcome(value, state.labels[im], "x"),
-            _new_state(labels, mean, cov))
+    return value, _new_state(labels, mean, cov)
 
 
 def apply_beta_decay(state: GaussianState, mode: ModeRef, beta: float) -> GaussianState:

@@ -10,7 +10,7 @@ coupling constant ``a`` negative for blue detuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 # Exact SI defining constants (2019 redefinition).
 PLANCK_J_S = 6.62607015e-34
@@ -174,10 +174,7 @@ def kappa2_first_principles(power_mW: float, pulse_ms: float, theta_deg: float,
     """
     if p is None:
         p = PhysicalParams()
-    p = PhysicalParams(wavelength_nm=p.wavelength_nm, linewidth_MHz=p.linewidth_MHz,
-                       detuning_MHz=detuning_MHz, power_mW=power_mW, pulse_ms=pulse_ms,
-                       area_eff_cm2=p.area_eff_cm2, larmor_kHz=p.larmor_kHz,
-                       n_atoms=p.n_atoms)
+    p = replace(p, detuning_MHz=detuning_MHz, power_mW=power_mW, pulse_ms=pulse_ms)
     s_x = stokes_sx(power_mW, p.wavelength_nm)
     return 2.0 * abs(coupling_a(p)) * math.radians(theta_deg) * s_x * pulse_ms * 1e-3
 

@@ -39,16 +39,15 @@ from .gaussian import (
 class ProtocolResult:
     """Diagnostics of a protocol ensemble run.
 
-    When per-run recording is requested, ``runs`` holds one row per run with
-    the outcomes and applied displacements named by ``run_columns``.
+    ``runs`` maps each per-run column name (outcomes, applied displacements,
+    fidelities) to its array of n_runs values, in output order.
     """
 
     n_runs: int
+    runs: dict[str, np.ndarray]
     mean_fidelity: float | None = None
     duan_sum_out: float | None = None
     mean_displacement_error: tuple[float, float] = (0.0, 0.0)
-    runs: np.ndarray | None = None
-    run_columns: tuple[str, ...] = ()
 
 
 def _pair_pulse_matrix(kappa: float) -> np.ndarray:
@@ -81,7 +80,7 @@ def entangling_pulse(state: GaussianState, cell_plus: str, cell_minus: str,
                              [cell_plus, cell_minus, "_pulse_cos", "_pulse_sin"])
     out_cos, state = measure_x(state, "_pulse_cos", rng)
     out_sin, state = measure_x(state, "_pulse_sin", rng)
-    return out_cos.value, out_sin.value, state
+    return out_cos, out_sin, state
 
 
 def _pair_sum_variances(state: GaussianState, cell_plus: str, cell_minus: str) -> float:
@@ -94,19 +93,15 @@ def _pair_sum_variances(state: GaussianState, cell_plus: str, cell_minus: str) -
     return float(var_p + var_x)
 
 
-def _ensemble_result(n_runs: int, record_runs: bool, columns: dict, err_x, err_p,
-                     **diagnostics) -> ProtocolResult:
+def _ensemble_result(n_runs: int, runs: dict, err_x, err_p, **diagnostics) -> ProtocolResult:
     """Result of a batched run from per-run columns and displacement errors."""
-    if record_runs:
-        diagnostics.update(runs=np.column_stack(list(columns.values())),
-                           run_columns=tuple(columns))
     error = (float(np.mean(err_x)), float(np.mean(err_p)))
-    return ProtocolResult(n_runs=n_runs, mean_displacement_error=error, **diagnostics)
+    return ProtocolResult(n_runs, runs, mean_displacement_error=error, **diagnostics)
 
 
 def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
                         gain: float = 1.0, n_runs: int = 400,
-                        seed: int = 0, record_runs: bool = False) -> ProtocolResult:
+                        seed: int = 0) -> ProtocolResult:
     """Teleport a displaced-vacuum spin state from cell 3 onto cell 2.
 
     Cells 1 and 2 are entangled by a first pulse (outcomes A1, B1); a second
@@ -131,13 +126,12 @@ def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
     fidelities = coherent_fidelity(state, "cell2", dx, dp)
     mx, mp = state.mode_mean("cell2")
     return _ensemble_result(
-        n_runs, record_runs,
+        n_runs,
         dict(a1=a1, b1=b1, a2=a2, b2=b2, disp_x=disp_x, disp_p=disp_p, fidelity=fidelities),
         mx - dx, mp - dp, mean_fidelity=float(fidelities.mean()))
 
 
-def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0,
-                      record_runs: bool = False) -> ProtocolResult:
+def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0) -> ProtocolResult:
     """Entangle cells 2 and 4, which never interact, via cells 1 and 3.
 
     Pairs (1,2) and (3,4) are entangled first; a pulse through Alice's cells
@@ -160,7 +154,7 @@ def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0,
     # the certified pair combinations (x4 + x2)/sqrt2 and (p4 - p2)/sqrt2
     (x4, p4), (x2, p2) = state.mode_mean("cell4"), state.mode_mean("cell2")
     return _ensemble_result(
-        n_runs, record_runs,
+        n_runs,
         dict(a1=a1, b1=b1, a1_prime=a1p, b1_prime=b1p, a2=a2, b2=b2,
              disp_x=disp_x, disp_p=disp_p),
         (x4 + x2) / np.sqrt(2.0), (p4 - p2) / np.sqrt(2.0),
@@ -169,7 +163,7 @@ def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0,
 
 def quantum_memory(light_disp: tuple[float, float], resource_squeeze_r: float,
                    kappa2_readout: float, n_runs: int = 400,
-                   seed: int = 0, record_runs: bool = False) -> ProtocolResult:
+                   seed: int = 0) -> ProtocolResult:
     """Store an unknown light state in an atomic pair via an EPR resource.
 
     The resource is a two-mode squeezed pair (squeezing r) approximating the
@@ -193,21 +187,21 @@ def quantum_memory(light_disp: tuple[float, float], resource_squeeze_r: float,
     # write: the input pulse probes cell 1, X-homodyne, feedback onto p2
     state = apply_qnd(state, "mem1", "light", 1.0)
     m1, state = measure_x(state, "light", rng)
-    state = displace(state, "mem2", 0.0, -m1.value)
+    state = displace(state, "mem2", 0.0, -m1)
 
     # move the stored P_light component into the readout quadrature
     state = rotate(state, "mem1", np.pi / 2.0)
     state = add_vacuum_modes(state, ["readout"])
     state = apply_qnd(state, "mem1", "readout", kappa_r)
     m2, state = measure_x(state, "readout", rng)
-    state = displace(state, "mem2", read_gain * m2.value, 0.0)
+    state = displace(state, "mem2", read_gain * m2, 0.0)
 
     # the logical stored mode is (-p2, x2): undo the quadrature exchange
     state = rotate(state, "mem2", -np.pi / 2.0)
     fidelities = coherent_fidelity(state, "mem2", lx, lp)
     mx, mp = state.mode_mean("mem2")
     return _ensemble_result(
-        n_runs, record_runs,
-        dict(m_write=m1.value, m_readout=m2.value, disp_p_write=-m1.value,
-             disp_x_read=read_gain * m2.value, fidelity=fidelities),
+        n_runs,
+        dict(m_write=m1, m_readout=m2, disp_p_write=-m1, disp_x_read=read_gain * m2,
+             fidelity=fidelities),
         mx - lx, mp - lp, mean_fidelity=float(fidelities.mean()))

@@ -28,6 +28,9 @@ from .output import write_csv
 DEFAULT_OMEGA_T = 2.0 * np.pi * 650.0
 #: Minimum time steps per Larmor cycle demanded of callers.
 STEPS_PER_CYCLE = 100
+#: Pulse length T.  Lock-in outputs and moments depend only on omega_T and
+#: n_steps; T sets only the time axis (dt_ms, the trace's t_ms column).
+PULSE_MS = 2.0
 
 
 @dataclass(frozen=True)
@@ -75,11 +78,11 @@ def _check_resolution(omega_T: float, n_steps: int) -> None:
             f"need >= {STEPS_PER_CYCLE} steps per cycle ({cycles:.1f} cycles)")
 
 
-def _weights(omega_T: float, n_steps: int, pulse_ms: float):
+def _weights(omega_T: float, n_steps: int):
     """Midpoint cos/sin samples and the exact discrete demodulation norms."""
-    dt = pulse_ms / n_steps
+    dt = PULSE_MS / n_steps
     t = (np.arange(n_steps) + 0.5) * dt
-    phase = (omega_T / pulse_ms) * t
+    phase = (omega_T / PULSE_MS) * t
     c, s = np.cos(phase), np.sin(phase)
     norm_c = float(np.sum(c * c) * dt)
     norm_s = float(np.sum(s * s) * dt)
@@ -88,8 +91,7 @@ def _weights(omega_T: float, n_steps: int, pulse_ms: float):
 
 def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
                    atoms_in: tuple[float, float, float, float],
-                   rng: np.random.Generator,
-                   pulse_ms: float = 2.0) -> tuple[PulseTrace, LockInResult]:
+                   rng: np.random.Generator) -> tuple[PulseTrace, LockInResult]:
     """Integrate one probe pulse through two oppositely oriented cells.
 
     atoms_in are realizations of the canonical pair quadratures
@@ -99,7 +101,7 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     _check_resolution(omega_T, n_steps)
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps, pulse_ms)
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
     xa1, pa1, xa2, pa2 = (float(v) for v in atoms_in)
 
     # Per-cell canonical-normalized transverse components.
@@ -110,7 +112,7 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     zeta = rng.standard_normal(n_steps)  # integrated S_z^in noise
 
     # Spin drive: d j_{y,z}(cell) = +-(kappa/2) sqrt(dt/T) zeta * (cos, sin).
-    drive = 0.5 * kappa * np.sqrt(dt / pulse_ms) * zeta
+    drive = 0.5 * kappa * np.sqrt(dt / PULSE_MS) * zeta
     cum_y = np.cumsum(drive * c)
     cum_z = np.cumsum(drive * s)
     jy1, jy2 = jy1_0 + cum_y, jy2_0 - cum_y
@@ -119,14 +121,14 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     spin_diffs = np.column_stack([jy1 - jy2, jz1 - jz2])
 
     # Integrated S_y^out per step: shot noise plus the Larmor-encoded sums.
-    atomic = np.sqrt(2.0) * (kappa / np.sqrt(pulse_ms)) * dt * (
+    atomic = np.sqrt(2.0) * (kappa / np.sqrt(PULSE_MS)) * dt * (
         spin_sums[:, 1] * c + spin_sums[:, 0] * s)
     w = np.sqrt(0.5 * dt) * xi + atomic
 
     x_l1 = float(np.dot(w, c) / np.sqrt(norm_c))
     x_l2 = float(np.dot(w, s) / np.sqrt(norm_s))
     trace = PulseTrace(dt_ms=dt, n_steps=n_steps,
-                       sy_samples=w / np.sqrt(0.5 * pulse_ms),
+                       sy_samples=w / np.sqrt(0.5 * PULSE_MS),
                        spin_sums=spin_sums, spin_diffs=spin_diffs)
     return trace, LockInResult(x_l1=x_l1, x_l2=x_l2)
 
@@ -144,7 +146,7 @@ _ROW_BLOCK = 8
 
 
 def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
-                   seed: int, pulse_ms: float = 2.0) -> np.ndarray:
+                   seed: int) -> np.ndarray:
     """Monte Carlo over pulses with vacuum atomic input.
 
     Returns an array of shape (n_runs, 6) with columns
@@ -154,14 +156,14 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     _check_resolution(omega_T, n_steps)
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps, pulse_ms)
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
     sum_cc = norm_c / dt
     sum_ss = norm_s / dt
     sum_cs = float(np.sum(c * s))
 
     out = np.empty((n_runs, 6))
-    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(pulse_ms) * dt
-    drive_scale = kappa * np.sqrt(dt / pulse_ms)
+    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt
+    drive_scale = kappa * np.sqrt(dt / PULSE_MS)
 
     def chunk(rng: np.random.Generator, start: int, m: int) -> None:
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
@@ -188,17 +190,16 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     return out
 
 
-def discrete_moments(kappa: float, omega_T: float, n_steps: int,
-                     pulse_ms: float = 2.0) -> PulseMoments:
+def discrete_moments(kappa: float, omega_T: float, n_steps: int) -> PulseMoments:
     """Closed-form lock-in moments of the discretized model (vacuum atoms).
 
     Used to quantify pure discretization effects without Monte Carlo error:
     for an integer number of Larmor cycles the moments are exactly
     (1 + kappa^2)/2 with zero cross term at any resolution.
     """
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps, pulse_ms)
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
     m_cs = float(np.sum(c * s) * dt)
-    t = pulse_ms
+    t = PULSE_MS
     var1 = 0.5 + kappa**2 * (norm_c**2 + m_cs**2) / (t * norm_c)
     var2 = 0.5 + kappa**2 * (norm_s**2 + m_cs**2) / (t * norm_s)
     cov = (0.5 * m_cs + kappa**2 * m_cs * (norm_c + norm_s) / t) / np.sqrt(norm_c * norm_s)

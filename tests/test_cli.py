@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, config handling, exit codes."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -136,6 +137,13 @@ class TestRun:
         assert out == ""
         assert "not finite" in err
 
+    def test_subnormal_coupling_refused(self, capsys):
+        # finite statistics, but atomic_var = (cond_var - 1) / kappa2 overflows
+        code, out, err = run_cli(capsys, "run", "--kappa2", "1e-320", "--cycles", "100")
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--kappa2", "1", "--cycles", "100",
                                "--out", "/nonexistent_dir/x.csv")
@@ -242,6 +250,21 @@ class TestProtocolCommand:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("run_index,a1,b1")
         assert len(lines) == 21
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("teleport", "--kappa2", "4", "--gain", "0.8"),
+         "72e5e96110b52ce5612cd21645860bcb9a2b3b74c128993d816553f8e828e2fc"),
+        (("swap", "--kappa2", "4"),
+         "d059205256042b6eac257b3728909bacbe2f9570723a5c96db758356daab8ed2"),
+        (("memory", "--kappa2", "100", "--squeeze-r", "0.5"),
+         "d73e65acfc6998d513cc050b1362321df52e688d5fc6c0ef4d1306da02052633"),
+    ], ids=["teleport", "swap", "memory"])
+    def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "runs.csv"
+        code, _, _ = run_cli(capsys, "protocol", "--protocol", *argv,
+                             "--cycles", "20", "--seed", "4", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_memory_report(self, capsys):
         code, out, _ = run_cli(capsys, "protocol", "--protocol", "memory",

@@ -125,7 +125,7 @@ class TestMeasure:
     def test_outcome_variance_matches_marginal(self):
         rng = np.random.default_rng(5)
         n = 20_000
-        values = np.array([measure_x(vacuum_state(1), 0, rng)[0].value
+        values = np.array([measure_x(vacuum_state(1), 0, rng)[0]
                            for _ in range(n)])
         sample = np.var(values, ddof=1)
         assert abs(sample - 0.5) <= 5.0 * np.sqrt(2.0 / n) * 0.5
@@ -160,13 +160,13 @@ class TestMeasure:
         state = GaussianState(("pin",), np.array([0.75, 0.0]),
                               np.diag([0.0, 13.0]))
         outcome, _ = measure_x(state, 0, np.random.default_rng(0))
-        assert outcome.value == 0.75
+        assert outcome == 0.75
 
     def test_conditional_mean_tracks_outcome(self):
         state = apply_qnd(vacuum_state(2, ["atom", "light"]), "atom", "light", 1.0)
         outcome, post = measure_x(state, "light", np.random.default_rng(9))
         # E[P_a | X_l = v] = v * kappa var(P_a) / var(X_l) = v / 2 at kappa = 1
-        assert post.mode_mean("atom")[1] == pytest.approx(outcome.value / 2.0)
+        assert post.mode_mean("atom")[1] == pytest.approx(outcome / 2.0)
 
 
 class TestBetaDecay:
@@ -307,11 +307,11 @@ def _probe_sequence(state, kappa, r, beta, shift, rng):
     first, state = measure_x(state, "probe", rng)
     state = apply_beta_decay(state, "a", beta)
     state = rotate(state, "b", 0.3)
-    state = displace(state, "b", first.value, 0.0)
+    state = displace(state, "b", first, 0.0)
     state = add_vacuum_modes(state, ["probe"])
     state = apply_qnd(state, "b", "probe", kappa)
     second, state = measure_x(state, "probe", rng)
-    return (first.value, second.value), state
+    return (first, second), state
 
 
 CASE = dict(kappa=st.floats(0.0, 5.0), r=st.floats(0.0, 1.5), beta=st.floats(0.0, 1.0),
@@ -363,7 +363,7 @@ class TestBatch:
         state = apply_qnd(vacuum_state(2, batch=(5,)), 0, 1, 1.0)
         outcome, _ = measure_x(state, 1, np.random.default_rng(3))
         want = np.random.default_rng(3).normal(0.0, np.sqrt(state.variance(1, "x")), size=5)
-        assert outcome.value.tobytes() == want.tobytes()
+        assert outcome.tobytes() == want.tobytes()
 
     def test_array_shift_broadcasts_over_batch(self):
         state = displace(vacuum_state(2), 1, np.array([1.0, 2.0, 3.0]), 0.5)

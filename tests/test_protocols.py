@@ -173,12 +173,12 @@ class TestMemory:
             state = displace(state, "mem2", -extra_dx, extra_dp)
             state = apply_qnd(state, "mem1", "light", 1.0)
             m1, state = measure_x(state, "light", rng)
-            state = displace(state, "mem2", 0.0, -m1.value)
+            state = displace(state, "mem2", 0.0, -m1)
             state = rotate(state, "mem1", np.pi / 2.0)
             state = add_vacuum_modes(state, ["readout"])
             state = apply_qnd(state, "mem1", "readout", 10.0)
             m2, state = measure_x(state, "readout", rng)
-            state = displace(state, "mem2", -m2.value / 10.0, 0.0)
+            state = displace(state, "mem2", -m2 / 10.0, 0.0)
             state = rotate(state, "mem2", -np.pi / 2.0)
             return np.array(state.mode_mean("mem2"))
 
@@ -232,11 +232,10 @@ class TestPulsePrimitive:
         assert np.var(outcomes[:, 1], ddof=1) == pytest.approx(1.0, rel=0.06)
 
     def test_record_runs_round_trip(self):
-        result = teleport_spin_state((0.1, 0.2), 1.0, n_runs=7, seed=10,
-                                     record_runs=True)
-        assert result.runs.shape == (7, 7)
-        assert result.run_columns[:4] == ("a1", "b1", "a2", "b2")
-        assert result.runs[:, 6].mean() == pytest.approx(result.mean_fidelity)
+        result = teleport_spin_state((0.1, 0.2), 1.0, n_runs=7, seed=10)
+        assert [v.shape for v in result.runs.values()] == [(7,)] * 7
+        assert tuple(result.runs)[:4] == ("a1", "b1", "a2", "b2")
+        assert result.runs["fidelity"].mean() == pytest.approx(result.mean_fidelity)
 
 
 class TestEprResource:
@@ -259,14 +258,15 @@ class TestBatchedEnsemble:
         state = displace(state, "cell3", 0.3, -0.2)
         a1, b1, state = entangling_pulse(state, "cell1", "cell2", 2.0, rng)
         a2, b2, state = entangling_pulse(state, "cell1", "cell3", 2.0, rng)
-        result = teleport_spin_state((0.3, -0.2), 4.0, n_runs=1, seed=31, record_runs=True)
-        assert result.runs[0, :4].tobytes() == np.array([a1, b1, a2, b2]).tobytes()
+        result = teleport_spin_state((0.3, -0.2), 4.0, n_runs=1, seed=31)
+        recorded = [result.runs[name][0] for name in ("a1", "b1", "a2", "b2")]
+        assert np.array(recorded).tobytes() == np.array([a1, b1, a2, b2]).tobytes()
 
     def test_each_run_matches_an_unbatched_run_with_its_outcomes(self):
-        result = teleport_spin_state((0.6, -0.3), 2.0, gain=0.8, n_runs=6, seed=33,
-                                     record_runs=True)
+        result = teleport_spin_state((0.6, -0.3), 2.0, gain=0.8, n_runs=6, seed=33)
         coeff = 0.8 * np.sqrt(2.0) / np.sqrt(2.0)
-        for a1, b1, a2, b2, disp_x, disp_p, fid in result.runs:
+        names = ("a1", "b1", "a2", "b2", "disp_x", "disp_p", "fidelity")
+        for a1, b1, a2, b2, disp_x, disp_p, fid in zip(*(result.runs[n] for n in names)):
             rng = PresetRng([a1, b1, a2, b2])
             state = vacuum_state(3, ["cell1", "cell2", "cell3"])
             state = displace(state, "cell3", 0.6, -0.3)
@@ -278,8 +278,9 @@ class TestBatchedEnsemble:
                                         rel=0.0, abs=1e-12)
 
     def test_runs_are_independent_draws(self):
-        result = entanglement_swap(4.0, n_runs=4000, seed=32, record_runs=True)
-        outcomes = result.runs[:, :6]
+        result = entanglement_swap(4.0, n_runs=4000, seed=32)
+        names = ("a1", "b1", "a1_prime", "b1_prime", "a2", "b2")
+        outcomes = np.column_stack([result.runs[name] for name in names])
         corr = np.corrcoef(outcomes[:-1, 0], outcomes[1:, 0])[0, 1]
         assert abs(corr) < 5.0 / np.sqrt(4000)
         assert len(np.unique(outcomes[:, 0])) == 4000

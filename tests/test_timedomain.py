@@ -5,6 +5,7 @@ import pytest
 
 from spinlight.timedomain import (
     DEFAULT_OMEGA_T,
+    PULSE_MS,
     _weights,
     diff_noise_growth,
     discrete_moments,
@@ -138,14 +139,14 @@ class TestDemodulation:
         assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=4 * se)
 
 
-def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed, pulse_ms=2.0):
+def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed):
     """pulse_ensemble as it was before the row blocks: each 256-run chunk
     draws its whole (m, n_steps) xi and zeta arrays."""
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps, pulse_ms)
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
     sum_cc, sum_ss, sum_cs = norm_c / dt, norm_s / dt, float(np.sum(c * s))
     out = np.empty((n_runs, 6))
-    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(pulse_ms) * dt
-    drive_scale = kappa * np.sqrt(dt / pulse_ms)
+    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt
+    drive_scale = kappa * np.sqrt(dt / PULSE_MS)
     for chunk, start in enumerate(range(0, n_runs, 256)):
         m = min(256, n_runs - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
