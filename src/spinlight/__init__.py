@@ -29,11 +29,9 @@ from .experiment import (
     CycleStats,
     SweepRow,
     conditional_variance,
-    cycle_stats,
     density_sweep,
     duan_spin_check,
     entanglement_verdict,
-    optimal_alpha,
     run_cycles,
     stream_cycle_stats,
     theory_curves,
@@ -61,8 +59,8 @@ __all__ = [
     "PhysicalParams", "Calibration", "calibrate", "coupling_a",
     "faraday_theta", "kappa2_theory", "kappa2_experimental", "css_variance",
     "beta_from_t2",
-    "CycleSet", "CycleStats", "SweepRow", "run_cycles", "optimal_alpha",
-    "conditional_variance", "cycle_stats", "theory_curves",
+    "CycleSet", "CycleStats", "SweepRow", "run_cycles",
+    "conditional_variance", "theory_curves",
     "stream_cycle_stats", "entanglement_verdict", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
     "diff_noise_growth",

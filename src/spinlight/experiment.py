@@ -22,7 +22,6 @@ stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -112,7 +111,9 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
         rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
         if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
             rows += electronics_std * rng.standard_normal((count, 4))
-        return start, rows, rows.T @ rows
+        # the caller refuses sums that are not finite; errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            return start, rows, rows.T @ rows
 
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
@@ -127,35 +128,6 @@ def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
     data = np.concatenate([rows for _, rows, _ in _cycles(
         kappa2, beta, n_cycles, seed, parallel, electronics_std)])
     return CycleSet(*data.T)
-
-
-def _weight(num: float, denom: float) -> float:
-    """num / denom, or 0 with a warning when the first-pulse outcomes are all zero."""
-    if denom == 0.0:
-        warnings.warn("degenerate cycle data: first-pulse outcomes are all zero",
-                      RuntimeWarning, stacklevel=3)
-        return 0.0
-    return num / denom
-
-
-def optimal_alpha(records: CycleSet) -> float:
-    """Closed-form minimizer of the pooled conditional variance.
-
-    alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2): one weight shared by both
-    lock-in channels.  Degenerate data (all first-pulse outcomes zero) gives
-    0 with a warning.  Equal, bit for bit, to cycle_stats(records, ...).alpha_star.
-    """
-    return cycle_stats(records, 0.0, 1.0).alpha_star  # kappa2 and beta do not enter it
-
-
-def per_channel_alphas(records: CycleSet) -> tuple[float, float]:
-    """Diagnostic per-channel weights (the production path pools channels).
-
-    A channel whose first-pulse outcomes are all zero gets 0 with a warning.
-    """
-    a1, b1, a2, b2 = records.a1, records.b1, records.a2, records.b2
-    return (_weight(float(np.dot(a1, a2)), float(np.dot(a1, a1))),
-            _weight(float(np.dot(b1, b2)), float(np.dot(b1, b1))))
 
 
 def conditional_variance(records: CycleSet, alpha: float) -> float:
@@ -182,14 +154,23 @@ def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
 
 
 def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
-    """cycle_stats from the summed Gram matrix of the (a1, b1, a2, b2) rows."""
+    """Variances, the optimal weight and the entanglement verdict from the
+    summed Gram matrix of the (a1, b1, a2, b2) rows.
+
+    alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2) minimizes the pooled
+    conditional variance: one weight shared by both lock-in channels.  Pulse
+    variances are raw second moments over N-1: outcomes have zero mean by
+    construction and this matches the conditional-variance normalization,
+    so cond_var <= var2 + var1 alpha*^2 holds identically.
+    """
     if n < 2:
         raise ValueError("need at least two cycles")
-    first, second = gram[0, 0] + gram[1, 1], gram[2, 2] + gram[3, 3]
-    cross = gram[0, 2] + gram[1, 3]
-    alpha = _weight(float(cross), float(first))
-    var1, var2 = float(first / (n - 1)), float(second / (n - 1))
-    cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        first, second = gram[0, 0] + gram[1, 1], gram[2, 2] + gram[3, 3]
+        cross = gram[0, 2] + gram[1, 3]
+        alpha = float(cross) / float(first)
+        var1, var2 = float(first / (n - 1)), float(second / (n - 1))
+        cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
     bound = 1.0 + kappa2
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
@@ -204,25 +185,10 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
                       kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
 
 
-def cycle_stats(records: CycleSet, kappa2: float, beta: float) -> CycleStats:
-    """Estimate variances, the optimal weight, and the entanglement verdict.
-
-    Pulse variances are raw second moments over N-1: outcomes have zero mean
-    by construction and this matches the conditional-variance normalization,
-    so cond_var <= var2 + var1 alpha*^2 holds identically.  The sums are the
-    Gram matrices of CYCLE_CHUNK-row blocks added in order, as in
-    stream_cycle_stats, so both give the same bits for the same cycles.
-    """
-    cols = (records.a1, records.b1, records.a2, records.b2)
-    blocks = (np.column_stack([v[start:start + CYCLE_CHUNK] for v in cols])
-              for start in range(0, len(records), CYCLE_CHUNK))
-    return _stats(sum(block.T @ block for block in blocks), len(records), kappa2, beta)
-
-
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
                        parallel: int = 1, electronics_std: float = 0.0,
                        out: str | None = None) -> CycleStats:
-    """cycle_stats(run_cycles(...)), bit for bit, without keeping the cycles.
+    """CycleStats of the cycles run_cycles(...) draws, without keeping them.
 
     With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
     CSV as they arrive.  Raises ValueError when the outcome sums or the
@@ -235,7 +201,8 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
         nonlocal gram
         for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel,
                                                electronics_std):
-            gram = gram + chunk_gram
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                gram = gram + chunk_gram
             if not np.isfinite(gram).all():
                 raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
             yield np.arange(start, start + len(rows)), *rows.T
@@ -349,12 +316,12 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     """
     if len(theta_list) == 0:
         raise ValueError("theta grid must be nonempty")
+    if any(theta < 0 for theta in theta_list):
+        raise ValueError("theta values must be >= 0")
     row_seeds = np.random.SeedSequence(seed).generate_state(len(theta_list), np.uint64)
     floor = 1.0 + 2.0 * electronics_std**2
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
-        if theta < 0:
-            raise ValueError("theta values must be >= 0")
         kappa2 = kappa2_experimental(theta)
         stats = stream_cycle_stats(kappa2, beta, n_cycles, int(row_seed),
                                    parallel=parallel, electronics_std=electronics_std)

@@ -161,11 +161,10 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     sum_ss = norm_s / dt
     sum_cs = float(np.sum(c * s))
 
-    out = np.empty((n_runs, 6))
     atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt
     drive_scale = kappa * np.sqrt(dt / PULSE_MS)
 
-    def chunk(rng: np.random.Generator, start: int, m: int) -> None:
+    def chunk(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
         sums = np.empty((4, m))  # xi @ c, xi @ s, then zeta @ c, zeta @ s
         for noise in (sums[:2], sums[2:]):
@@ -178,16 +177,12 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
         # the exact discrete sums
         atom_c = atomic_scale * (atoms[:, 1] * sum_cc + atoms[:, 3] * sum_cs)
         atom_s = atomic_scale * (atoms[:, 1] * sum_cs + atoms[:, 3] * sum_ss)
-        out[start:start + m, 0] = (shot_c + atom_c) / np.sqrt(norm_c)
-        out[start:start + m, 1] = (shot_s + atom_s) / np.sqrt(norm_s)
-        out[start:start + m, 2] = atoms[:, 0] + drive_scale * sums[2]
-        out[start:start + m, 3] = atoms[:, 1]
-        out[start:start + m, 4] = atoms[:, 2] - drive_scale * sums[3]
-        out[start:start + m, 5] = atoms[:, 3]
+        return np.column_stack([(shot_c + atom_c) / np.sqrt(norm_c),
+                                (shot_s + atom_s) / np.sqrt(norm_s),
+                                atoms[:, 0] + drive_scale * sums[2], atoms[:, 1],
+                                atoms[:, 2] - drive_scale * sums[3], atoms[:, 3]])
 
-    for _ in chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed):
-        pass  # each chunk fills its own rows of out
-    return out
+    return np.concatenate(list(chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed)))
 
 
 def discrete_moments(kappa: float, omega_T: float, n_steps: int) -> PulseMoments:

@@ -15,10 +15,9 @@ from linear_oracle import swap_duan_sum, teleport_mean_fidelity
 
 from spinlight import cli, experiment
 from spinlight.experiment import (
-    cycle_stats,
     engine_conditioned_duan,
     entanglement_verdict,
-    run_cycles,
+    stream_cycle_stats,
     theory_curves,
 )
 from spinlight.gaussian import (
@@ -43,8 +42,7 @@ def _report(number: int, text: str) -> None:
 def ideal_run():
     """Shared kappa^2 = 1, beta = 1, N = 1e5 ensemble (criteria 1 and 2)."""
     start = time.perf_counter()
-    records = run_cycles(1.0, 1.0, N_CYCLES, seed=2024)
-    stats = cycle_stats(records, 1.0, 1.0)
+    stats = stream_cycle_stats(1.0, 1.0, N_CYCLES, seed=2024)
     elapsed = time.perf_counter() - start
     return stats, elapsed
 
@@ -71,8 +69,7 @@ def test_criterion_02_ideal_entanglement_theory(ideal_run):
 def test_criterion_03_decoherence_model_grid():
     beta = 0.65
     for i, kappa2 in enumerate((0.25, 0.5, 1.0, 2.0)):
-        stats = cycle_stats(run_cycles(kappa2, beta, N_CYCLES, seed=300 + i),
-                            kappa2, beta)
+        stats = stream_cycle_stats(kappa2, beta, N_CYCLES, seed=300 + i)
         cond_th, alpha_th = theory_curves(kappa2, beta)
         assert stats.cond_var == pytest.approx(cond_th, rel=0.02), kappa2
         assert stats.alpha_star == pytest.approx(alpha_th, abs=0.02), kappa2
@@ -81,7 +78,7 @@ def test_criterion_03_decoherence_model_grid():
 
 
 def test_criterion_04_headline_noise_reduction():
-    stats = cycle_stats(run_cycles(1.449, 0.65, N_CYCLES, seed=404), 1.449, 0.65)
+    stats = stream_cycle_stats(1.449, 0.65, N_CYCLES, seed=404)
     assert stats.atomic_var_inferred == pytest.approx(0.75, abs=0.02)
     _report(4, f"kappa2=1.449, beta=0.65: inferred atomic variance "
                f"{stats.atomic_var_inferred:.4f} = 0.75 +-0.02 (25% reduction)")
@@ -89,7 +86,7 @@ def test_criterion_04_headline_noise_reduction():
 
 def test_criterion_05_low_coupling_entanglement():
     kappa2, beta = 0.5, 0.65
-    stats = cycle_stats(run_cycles(kappa2, beta, N_CYCLES, seed=505), kappa2, beta)
+    stats = stream_cycle_stats(kappa2, beta, N_CYCLES, seed=505)
     assert entanglement_verdict(stats) is True
     margin = (1.0 + kappa2) - stats.cond_var
     se = stats.cond_var / np.sqrt(stats.n)

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, determinism, config handling, exit codes."""
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +12,8 @@ import pytest
 
 import spinlight.experiment
 from spinlight.cli import RunConfig, build_parser, load_config, main, read_config, write_config
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run_cli(capsys, *argv):
@@ -117,7 +123,6 @@ class TestRun:
         assert code == 0
         assert streamed == with_csv
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("with_out", [False, True])
     def test_overflowing_sums_refused(self, capsys, tmp_path, with_out):
         # at kappa2 = 1e308 the squared outcomes overflow: no summary, no CSV
@@ -129,13 +134,28 @@ class TestRun:
         assert "not finite" in err
         assert not path.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_statistics_refused(self, capsys):
         # finite sums, but var1 = (S_a1 + S_b1) / (n - 1) overflows
         code, out, err = run_cli(capsys, "run", "--kappa2", "3e306", "--cycles", "100")
         assert code == 1
         assert out == ""
         assert "not finite" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ("run", "--kappa2", "3e306", "--cycles", "100"),  # the statistics overflow
+        ("run", "--kappa2", "1e308", "--cycles", "100"),  # the outcome sums overflow
+        ("run", "--kappa2", "6e304", "--cycles", "8192"),  # the sum of two chunks overflows
+        ("sweep", "--theta-grid", "2,1e308", "--cycles", "100")])
+    def test_refusal_prints_one_stderr_line(self, tmp_path, argv, workers):
+        # in a fresh interpreter, so stderr holds whatever numpy would warn
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "spinlight.cli", *argv, "--parallel", workers,
+                               "--out", str(tmp_path / "out.csv")],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert re.fullmatch(r"error: the [a-z ]+ at kappa2 = \S+ are not finite\n", done.stderr)
 
     def test_subnormal_coupling_refused(self, capsys):
         # finite statistics, but atomic_var = (cond_var - 1) / kappa2 overflows
@@ -186,7 +206,6 @@ class TestSweep:
         slope = np.polyfit(thetas, pn, 1)[0]
         assert slope == pytest.approx(0.10, rel=0.05)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_sums_refused(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, err = run_cli(capsys, "sweep", "--theta-grid", "2,1e308",

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
     CalibrationError,
-    CycleSet,
     conditional_variance,
-    cycle_stats,
     density_sweep,
     duan_spin_check,
     engine_conditioned_duan,
     entanglement_verdict,
-    optimal_alpha,
-    per_channel_alphas,
     run_cycles,
     stream_cycle_stats,
     summary_text,
@@ -35,13 +32,11 @@ class TestRunCycles:
         assert abs(corr) < 3.0 / np.sqrt(len(rec))
 
     def test_projection_noise_level(self):
-        rec = run_cycles(1.0, 1.0, N, seed=2)
-        stats = cycle_stats(rec, 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=2)
         assert stats.var1 == pytest.approx(2.0, rel=0.02)
 
     def test_full_decay_makes_first_pulse_useless(self):
-        rec = run_cycles(1.0, 0.0, N, seed=3)
-        stats = cycle_stats(rec, 1.0, 0.0)
+        stats = stream_cycle_stats(1.0, 0.0, N, seed=3)
         assert stats.alpha_star == pytest.approx(0.0, abs=0.02)
         assert stats.cond_var == pytest.approx(2.0, rel=0.02)
 
@@ -76,18 +71,32 @@ class TestStreamedStats:
            electronics_std=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_materialized_bitwise(self, n, parallel, kappa2, beta, electronics_std, seed):
-        def outcome(stats):
+        def outcome(workers):
             # repr round-trips every float exactly and treats nan (kappa2 = 0) as
             # equal; a refusal (subnormal kappa2) must carry the same message
             try:
-                return repr(stats())
+                return stream_cycle_stats(kappa2, beta, n, seed, parallel=workers,
+                                          electronics_std=electronics_std)
             except ValueError as exc:
                 return f"ValueError: {exc}"
 
-        streamed = outcome(lambda: stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel,
-                                                      electronics_std=electronics_std))
-        records = run_cycles(kappa2, beta, n, seed, electronics_std=electronics_std)
-        assert streamed == outcome(lambda: cycle_stats(records, kappa2, beta))
+        stats = outcome(1)
+        assert repr(outcome(parallel)) == repr(stats)
+        if isinstance(stats, str):
+            return
+        # the Gram-matrix sums against direct sums over the materialized cycles
+        rec = run_cycles(kappa2, beta, n, seed, electronics_std=electronics_std)
+        a1, b1, a2, b2 = rec.a1, rec.b1, rec.a2, rec.b2
+        var1, var2 = (a1 @ a1 + b1 @ b1) / (n - 1), (a2 @ a2 + b2 @ b2) / (n - 1)
+        assert stats.var1 == pytest.approx(var1, rel=1e-12)
+        assert stats.var2 == pytest.approx(var2, rel=1e-12)
+        # round-off in the cross sum scales with sqrt(S11 S22), not with the sum
+        # itself, which nearly cancels when the weight is close to 0
+        alpha = (a1 @ a2 + b1 @ b2) / (a1 @ a1 + b1 @ b1)
+        assert stats.alpha_star == pytest.approx(alpha, rel=1e-12,
+                                                 abs=1e-12 * np.sqrt(var2 / var1))
+        assert abs(stats.cond_var - conditional_variance(rec, stats.alpha_star)) <= (
+            1e-12 * (stats.var2 + stats.alpha_star**2 * stats.var1))
 
     @given(n=st.sampled_from([2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, CYCLE_CHUNK - 1,
                               CYCLE_CHUNK, CYCLE_CHUNK + 1, 2 * CYCLE_CHUNK + CSV_BLOCK_ROWS])
@@ -108,14 +117,12 @@ class TestStreamedStats:
                   [(np.arange(n), rec.a1, rec.b1, rec.a2, rec.b2)])
         assert (tmp / "streamed.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_in_first_chunk_refused_before_the_csv(self, tmp_path):
         path = tmp_path / "cycles.csv"
         with pytest.raises(ValueError, match="not finite"):
             stream_cycle_stats(1e308, 1.0, 100, seed=1, out=str(path))
         assert not path.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_of_the_chunk_sum_refused(self):
         # each chunk's sum of a1^2 is about 1.2e308, finite; two of them are not
         with pytest.raises(ValueError, match="not finite"):
@@ -129,16 +136,15 @@ class TestStreamedStats:
         assert all(np.array_equal(getattr(serial, k), getattr(pooled, k))
                    for k in ("a1", "b1", "a2", "b2"))
         streamed = stream_cycle_stats(0.6, 0.9, n, seed=57, parallel=2)
-        assert repr(streamed) == repr(cycle_stats(serial, 0.6, 0.9))
+        assert repr(streamed) == repr(stream_cycle_stats(0.6, 0.9, n, seed=57))
 
     def test_matches_direct_sums(self):
         # the Gram-matrix route differs from the direct sums by round-off only
         n = 3 * CYCLE_CHUNK + 17
         rec = run_cycles(1.449, 0.65, n, seed=61)
-        stats = cycle_stats(rec, 1.449, 0.65)
+        stats = stream_cycle_stats(1.449, 0.65, n, seed=61)
         a1, b1, a2, b2 = rec.a1, rec.b1, rec.a2, rec.b2
         alpha = (a1 @ a2 + b1 @ b2) / (a1 @ a1 + b1 @ b1)
-        assert optimal_alpha(rec) == stats.alpha_star
         assert stats.alpha_star == pytest.approx(alpha, rel=1e-12)
         assert stats.var1 == pytest.approx((a1 @ a1 + b1 @ b1) / (n - 1), rel=1e-12)
         assert stats.var2 == pytest.approx((a2 @ a2 + b2 @ b2) / (n - 1), rel=1e-12)
@@ -151,34 +157,12 @@ class TestStreamedStats:
 
 
 class TestAlpha:
-    def test_identical_pulses_give_unity(self):
-        x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.1, -0.7])
-        assert optimal_alpha(CycleSet(x, y, x, y)) == pytest.approx(1.0)
-
     def test_independent_pulses_give_zero(self):
-        rec = run_cycles(0.0, 1.0, 50_000, seed=11)
-        assert optimal_alpha(rec) == pytest.approx(0.0, abs=3.0 / np.sqrt(50_000))
+        alpha = stream_cycle_stats(0.0, 1.0, 50_000, seed=11).alpha_star
+        assert alpha == pytest.approx(0.0, abs=3.0 / np.sqrt(50_000))
 
     def test_ideal_value_half(self):
-        rec = run_cycles(1.0, 1.0, N, seed=12)
-        assert optimal_alpha(rec) == pytest.approx(0.5, abs=0.02)
-
-    def test_degenerate_data_flagged(self):
-        rows = CycleSet(np.zeros(3), np.zeros(3), np.ones(3), np.full(3, 2.0))
-        with pytest.warns(RuntimeWarning):
-            assert optimal_alpha(rows) == 0.0
-
-    def test_per_channel_diagnostic(self):
-        rec = run_cycles(1.0, 1.0, N, seed=13)
-        alpha_a, alpha_b = per_channel_alphas(rec)
-        assert alpha_a == pytest.approx(0.5, abs=0.03)
-        assert alpha_b == pytest.approx(0.5, abs=0.03)
-
-    def test_per_channel_zero_first_pulse_flagged(self):
-        b1 = np.array([1.0, -2.0, 0.5])
-        rows = CycleSet(np.zeros(3), b1, np.ones(3), 2.0 * b1)
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert per_channel_alphas(rows) == (0.0, 2.0)
+        assert stream_cycle_stats(1.0, 1.0, N, seed=12).alpha_star == pytest.approx(0.5, abs=0.02)
 
 
 class TestConditionalVariance:
@@ -190,12 +174,12 @@ class TestConditionalVariance:
 
     def test_ideal_minimum(self):
         rec = run_cycles(1.0, 1.0, N, seed=15)
-        cond = conditional_variance(rec, optimal_alpha(rec))
+        cond = conditional_variance(rec, stream_cycle_stats(1.0, 1.0, N, seed=15).alpha_star)
         assert cond == pytest.approx(1.5, rel=0.02)
 
     def test_decohered_minimum(self):
         rec = run_cycles(1.0, 0.65, N, seed=16)
-        cond = conditional_variance(rec, optimal_alpha(rec))
+        cond = conditional_variance(rec, stream_cycle_stats(1.0, 0.65, N, seed=16).alpha_star)
         expected = 1.0 + (1.0 + (1.0 - 0.65**2)) / 2.0
         assert expected == pytest.approx(1.78875)
         assert cond == pytest.approx(expected, rel=0.02)
@@ -218,21 +202,22 @@ class TestTheoryCurves:
 
 class TestVerdict:
     def test_entangled_ideal(self):
-        stats = cycle_stats(run_cycles(1.0, 1.0, N, seed=17), 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=17)
         assert entanglement_verdict(stats) is True
 
     def test_low_coupling_with_decoherence(self):
-        stats = cycle_stats(run_cycles(0.5, 0.65, N, seed=18), 0.5, 0.65)
+        stats = stream_cycle_stats(0.5, 0.65, N, seed=18)
         assert entanglement_verdict(stats) is True
 
     def test_calibration_failure_withholds_verdict(self):
-        stats = cycle_stats(run_cycles(1.0, 1.0, N, seed=19), 4.0, 1.0)
+        # electronics noise lifts var1 to ~2.18, far outside 2 +- 5 standard errors
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=19, electronics_std=0.3)
         assert not stats.calibration_ok
         with pytest.raises(CalibrationError):
             entanglement_verdict(stats)
 
     def test_zero_coupling_withholds_verdict(self):
-        stats = cycle_stats(run_cycles(0.0, 1.0, 1000, seed=1), 0.0, 1.0)
+        stats = stream_cycle_stats(0.0, 1.0, 1000, seed=1)
         assert stats.calibration_ok and stats.entangled is None
         with pytest.raises(CalibrationError):
             entanglement_verdict(stats)
@@ -240,7 +225,7 @@ class TestVerdict:
 
     @pytest.mark.parametrize("beta", [1.0, 0.65, 0.0])
     def test_definitional_bound(self, beta):
-        stats = cycle_stats(run_cycles(1.0, beta, 20_000, seed=20), 1.0, beta)
+        stats = stream_cycle_stats(1.0, beta, 20_000, seed=20)
         assert stats.cond_var <= stats.var2 + stats.var1 * stats.alpha_star**2
         # expected weight sits in [0, 1]; the estimate only leaves it by noise
         assert -0.02 <= stats.alpha_star <= 1.0
@@ -248,7 +233,7 @@ class TestVerdict:
     def test_margin_monotone_in_beta(self):
         margins = []
         for i, beta in enumerate((1.0, 0.8, 0.65, 0.4, 0.0)):
-            stats = cycle_stats(run_cycles(1.0, beta, N, seed=100 + i), 1.0, beta)
+            stats = stream_cycle_stats(1.0, beta, N, seed=100 + i)
             margins.append(2.0 - stats.cond_var)
         # statistical slack well below the ~0.1 gaps between grid points
         assert all(m2 <= m1 + 0.02 for m1, m2 in zip(margins, margins[1:]))
@@ -281,7 +266,7 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("kappa2,beta", [(0.25, 1.0), (1.0, 1.0), (1.0, 0.65),
                                              (2.0, 0.65), (4.0, 1.0)])
     def test_monte_carlo_matches_engine(self, kappa2, beta):
-        stats = cycle_stats(run_cycles(kappa2, beta, N, seed=31), kappa2, beta)
+        stats = stream_cycle_stats(kappa2, beta, N, seed=31)
         exact = engine_conditioned_duan(kappa2, beta)
         se = stats.cond_var / np.sqrt(N) / kappa2
         assert stats.atomic_var_inferred == pytest.approx(exact, abs=5 * se)
@@ -296,17 +281,17 @@ class TestEngineAgreement:
 class TestCalibrationIdentity:
     @pytest.mark.parametrize("kappa2", [0.1, 0.25, 0.5, 1.0, 2.0, 4.0])
     def test_first_pulse_noise_is_shot_plus_projection(self, kappa2):
-        stats = cycle_stats(run_cycles(kappa2, 1.0, N, seed=37), kappa2, 1.0)
+        stats = stream_cycle_stats(kappa2, 1.0, N, seed=37)
         tol = 3.0 * np.sqrt(2.0 / N) * (1.0 + kappa2)
         assert abs((stats.var1 - 1.0) - kappa2) <= tol
 
     def test_qnd_repeatability(self):
-        stats = cycle_stats(run_cycles(1.0, 1.0, N, seed=38), 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=38)
         assert stats.var2 == pytest.approx(stats.var1, rel=0.02)
 
     def test_alpha_consistency(self):
         for beta in (1.0, 0.65):
-            stats = cycle_stats(run_cycles(1.0, beta, N, seed=39), 1.0, beta)
+            stats = stream_cycle_stats(1.0, beta, N, seed=39)
             assert abs(stats.alpha_star - theory_curves(1.0, beta)[1]) < 0.02
 
 
@@ -342,12 +327,19 @@ class TestDensitySweep:
         with pytest.raises(ValueError):
             density_sweep([], 0.65, 100, seed=0)
 
+    def test_negative_angle_refused_before_simulating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spinlight.experiment, "stream_cycle_stats",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="theta values must be >= 0"):
+            density_sweep([2.0, -1.0], 0.65, 100, seed=0)
+        assert calls == []
+
 
 class TestElectronicsFloor:
     def test_floor_added_and_subtracted(self):
         e_std = 0.4
-        rec = run_cycles(1.0, 1.0, N, seed=47, electronics_std=e_std)
-        stats = cycle_stats(rec, 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=47, electronics_std=e_std)
         assert stats.var1 == pytest.approx(2.0 + 2 * e_std**2, rel=0.02)
         row, = density_sweep([10.0], 1.0, N, seed=48, electronics_std=e_std)
         assert row.pn1 == pytest.approx(1.0, rel=0.05)
@@ -386,7 +378,7 @@ class TestOutputs:
         assert len(lines) == 3
 
     def test_summary_block(self):
-        stats = cycle_stats(run_cycles(1.0, 1.0, 5000, seed=53), 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, 5000, seed=53)
         text = summary_text(stats)
         assert "n = 5000" in text
         assert "entangled = true" in text
@@ -397,7 +389,7 @@ class TestOutputs:
 
     def test_failed_calibration_withholds_verdict(self):
         # electronics noise lifts var1 to ~2.18, far outside 2 +- 5 standard errors
-        stats = cycle_stats(run_cycles(1.0, 1.0, N, seed=54, electronics_std=0.3), 1.0, 1.0)
+        stats = stream_cycle_stats(1.0, 1.0, N, seed=54, electronics_std=0.3)
         assert not stats.calibration_ok and stats.entangled
         text = summary_text(stats)
         assert "calibration = failed" in text
