@@ -101,19 +101,24 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
         raise ValueError("beta must lie in [0, 1]")
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
-    kappa = np.sqrt(kappa2)
+    kappa, decay = np.sqrt(kappa2), np.sqrt(1.0 - beta**2)
 
     def chunk(rng: np.random.Generator, start: int, count: int):
-        z = np.sqrt(0.5) * rng.standard_normal((count, 8))
-        p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]  # (channel a, channel b)
-        rows = np.empty((count, 4))
-        rows[:, 0:2] = l1 + kappa * p
-        rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
+        z = rng.standard_normal((count, 8))  # p, l1, w, l2 of channel a, then of b
+        z *= np.sqrt(0.5)
+        # one 1-D pass per outcome column: numpy loops over a (count, 2) slice row by row
+        cols, tmp = np.empty((4, count)), np.empty(count)
+        for c in (0, 1):
+            p, l1, w, l2 = z[:, c], z[:, 2 + c], z[:, 4 + c], z[:, 6 + c]
+            first, second = cols[c], cols[2 + c]  # l1 + kappa p, l2 + kappa (beta p + decay w)
+            np.add(l1, np.multiply(kappa, p, out=first), out=first)
+            np.add(np.multiply(beta, p, out=tmp), np.multiply(decay, w, out=second), out=second)
+            np.add(l2, np.multiply(kappa, second, out=second), out=second)
         if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
-            rows += electronics_std * rng.standard_normal((count, 4))
+            cols += electronics_std * rng.standard_normal((count, 4)).T
         # the caller refuses sums that are not finite; errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
-            return start, rows, rows.T @ rows
+            return start, cols.T, cols @ cols.T
 
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
@@ -205,13 +210,14 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
                 gram = gram + chunk_gram
             if not np.isfinite(gram).all():
                 raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
-            yield np.arange(start, start + len(rows)), *rows.T
+            yield start, rows
 
     if out is None:
         for _ in blocks():
             pass
     else:
-        write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"), blocks())
+        write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"),
+                  ((np.arange(start, start + len(rows)), *rows.T) for start, rows in blocks()))
     return _stats(gram, n_cycles, kappa2, beta)
 
 

@@ -25,6 +25,23 @@ from spinlight.output import CSV_BLOCK_ROWS, write_csv
 N = 100_000
 
 
+def reference_chunks(kappa2, beta, n, seed, electronics_std):
+    """(rows, rows.T @ rows) per chunk from the row-major (count, 8) expression
+    that the column-major cycle kernel must reproduce bit for bit."""
+    kappa = np.sqrt(kappa2)
+    for i, start in enumerate(range(0, n, CYCLE_CHUNK)):
+        count = min(CYCLE_CHUNK, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        z = np.sqrt(0.5) * rng.standard_normal((count, 8))
+        p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]
+        rows = np.empty((count, 4))
+        rows[:, 0:2] = l1 + kappa * p
+        rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
+        if electronics_std > 0.0:
+            rows += electronics_std * rng.standard_normal((count, 4))
+        yield rows, rows.T @ rows
+
+
 class TestRunCycles:
     def test_no_interaction_decorrelates_pulses(self):
         rec = run_cycles(0.0, 1.0, 20_000, seed=1)
@@ -51,6 +68,36 @@ class TestRunCycles:
         pooled = run_cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=4)
         for name in ("a1", "b1", "a2", "b2"):
             assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+
+    @given(n=st.sampled_from([1, 2, CYCLE_CHUNK - 1, CYCLE_CHUNK, CYCLE_CHUNK + 1,
+                              2 * CYCLE_CHUNK, 2 * CYCLE_CHUNK + 1]),
+           kappa2=st.sampled_from([0.0, 1e-300, 1.0, 1e8]), beta=st.sampled_from([0.0, 0.65, 1.0]),
+           electronics_std=st.sampled_from([0.0, 0.3]), parallel=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, electronics_std, parallel,
+                                              seed):
+        chunks = list(reference_chunks(kappa2, beta, n, seed, electronics_std))
+        rows = np.concatenate([rows for rows, _ in chunks])
+        rec = run_cycles(kappa2, beta, n, seed, parallel=parallel,
+                         electronics_std=electronics_std)
+        for i, name in enumerate(("a1", "b1", "a2", "b2")):
+            assert getattr(rec, name).tobytes() == rows[:, i].tobytes()
+        # the Gram sum that stream_cycle_stats hands to _stats, summed in chunk order
+        summed, stats_of_gram = [], spinlight.experiment._stats
+
+        def spy(gram, *args):
+            summed.append(gram)
+            return stats_of_gram(gram, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spinlight.experiment, "_stats", spy)
+            try:
+                stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel,
+                                   electronics_std=electronics_std)
+            except ValueError:  # a single cycle is refused after the sum
+                assert n == 1
+        assert summed[0].tobytes() == sum(gram for _, gram in chunks).tobytes()
 
     def test_record_access(self):
         rec = run_cycles(1.0, 1.0, 10, seed=9)

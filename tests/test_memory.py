@@ -42,6 +42,14 @@ def test_run_with_out_streams_the_cycles(tmp_path):
     assert large - small < MARGIN_MB, (small, large)
 
 
+def test_sweep_streams_the_cycles(tmp_path):
+    sweep = ("from spinlight.cli import main\n"
+             "main(['sweep', '--theta-grid', '2,10', '--cycles', '{}', '--out', {!r}])")
+    path = str(tmp_path / "sweep.csv")
+    small, large = peak_mb(sweep.format(4096, path)), peak_mb(sweep.format(2_000_000, path))
+    assert large - small < MARGIN_MB, (small, large)
+
+
 def test_pulse_ensemble_reduces_noise_in_blocks():
     ens = ("from spinlight.timedomain import DEFAULT_OMEGA_T, pulse_ensemble\n"
            "pulse_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, {}, seed=1)")
