@@ -64,7 +64,7 @@ class CycleStats:
     alpha_star: float
     cond_var: float
     atomic_var_inferred: float
-    entangled: bool | None  # None at kappa2 = 0: undetermined
+    entangled: bool | None  # None where 1 + kappa2 rounds to 1: undetermined
     kappa2: float
     beta: float
     calibration_ok: bool
@@ -167,6 +167,10 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     variances are raw second moments over N-1: outcomes have zero mean by
     construction and this matches the conditional-variance normalization,
     so cond_var <= var2 + var1 alpha*^2 holds identically.
+
+    cond_var is refused when it does not exceed its rounding bound, 2 eps
+    (|S22| + |2 alpha S12| + alpha^2 S11) / (n - 1): the four roundings of
+    eps/2 per term from the Gram entries on, before the Gram sums' own.
     """
     if n < 2:
         raise ValueError("need at least two cycles")
@@ -176,6 +180,8 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
         alpha = float(cross) / float(first)
         var1, var2 = float(first / (n - 1)), float(second / (n - 1))
         cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
+        rounding = float(2.0 * np.finfo(float).eps * (
+            abs(second) + abs(2.0 * alpha * cross) + alpha**2 * first) / (n - 1))
     bound = 1.0 + kappa2
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
@@ -183,10 +189,13 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     # atomic is nan at kappa2 = 0 and left unprinted; at subnormal kappa2 it overflows
     if not np.isfinite([var1, var2, cond, width, atomic if kappa2 > 0 else 0.0]).all():
         raise ValueError(f"the statistics at kappa2 = {_fmt(kappa2)} are not finite")
+    if not rounding < cond:
+        raise ValueError(f"cond_var at kappa2 = {_fmt(kappa2)} has no correct digit: "
+                         f"its rounding bound {rounding:.3g} is not below cond_var = {cond:.3g}")
     calibration_ok = bool(abs(var1 - bound) <= width)
     return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha,
                       cond_var=cond, atomic_var_inferred=atomic,
-                      entangled=bool(cond < bound) if kappa2 > 0 else None,
+                      entangled=bool(cond < bound) if bound > 1.0 else None,
                       kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
 
 
@@ -227,10 +236,12 @@ def entanglement_verdict(stats: CycleStats) -> bool:
     Refuses to rule when the first-pulse noise fails the projection-noise
     calibration check (the bound is only meaningful for quantum-noise-limited
     input pulses), and at kappa2 = 0, where the outcomes hold no atomic
-    information and cond_var < 1 is a coin flip.
+    information and cond_var < 1 is a coin flip; so is it wherever 1 + kappa2
+    rounds to 1.
     """
     if stats.entangled is None:
-        raise CalibrationError("kappa2 = 0: the light carries no atomic information")
+        raise CalibrationError(f"1 + kappa2 rounds to 1 at kappa2 = {_fmt(stats.kappa2)}: "
+                               "the bound cannot tell the light from shot noise")
     if not stats.calibration_ok:
         raise CalibrationError(
             f"var1 = {stats.var1:.4f} deviates from 1 + kappa^2 = "

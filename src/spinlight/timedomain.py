@@ -111,24 +111,28 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     xi = rng.standard_normal(n_steps)    # integrated S_y^in noise
     zeta = rng.standard_normal(n_steps)  # integrated S_z^in noise
 
+    # Temporaries reuse xi, zeta and two buffers; each element keeps its operations.
     # Spin drive: d j_{y,z}(cell) = +-(kappa/2) sqrt(dt/T) zeta * (cos, sin).
-    drive = 0.5 * kappa * np.sqrt(dt / PULSE_MS) * zeta
-    cum_y = np.cumsum(drive * c)
-    cum_z = np.cumsum(drive * s)
-    jy1, jy2 = jy1_0 + cum_y, jy2_0 - cum_y
-    jz1, jz2 = jz1_0 + cum_z, jz2_0 - cum_z
-    spin_sums = np.column_stack([jy1 + jy2, jz1 + jz2])
-    spin_diffs = np.column_stack([jy1 - jy2, jz1 - jz2])
+    drive = np.multiply(0.5 * kappa * np.sqrt(dt / PULSE_MS), zeta, out=zeta)
+    spin_sums, spin_diffs = np.empty((n_steps, 2)), np.empty((n_steps, 2))
+    cum, j1 = np.empty(n_steps), np.empty(n_steps)
+    for col, weight, (j1_0, j2_0) in ((0, c, (jy1_0, jy2_0)), (1, s, (jz1_0, jz2_0))):
+        np.cumsum(np.multiply(drive, weight, out=cum), out=cum)
+        np.add(j1_0, cum, out=j1)                # jy1, then jz1
+        j2 = np.subtract(j2_0, cum, out=cum)     # jy2, then jz2
+        np.add(j1, j2, out=spin_sums[:, col])
+        np.subtract(j1, j2, out=spin_diffs[:, col])
 
     # Integrated S_y^out per step: shot noise plus the Larmor-encoded sums.
-    atomic = np.sqrt(2.0) * (kappa / np.sqrt(PULSE_MS)) * dt * (
-        spin_sums[:, 1] * c + spin_sums[:, 0] * s)
-    w = np.sqrt(0.5 * dt) * xi + atomic
+    atomic = np.add(np.multiply(spin_sums[:, 1], c, out=cum),
+                    np.multiply(spin_sums[:, 0], s, out=j1), out=cum)
+    np.multiply(np.sqrt(2.0) * (kappa / np.sqrt(PULSE_MS)) * dt, atomic, out=atomic)
+    w = np.add(np.multiply(np.sqrt(0.5 * dt), xi, out=xi), atomic, out=xi)
 
     x_l1 = float(np.dot(w, c) / np.sqrt(norm_c))
     x_l2 = float(np.dot(w, s) / np.sqrt(norm_s))
     trace = PulseTrace(dt_ms=dt, n_steps=n_steps,
-                       sy_samples=w / np.sqrt(0.5 * PULSE_MS),
+                       sy_samples=np.divide(w, np.sqrt(0.5 * PULSE_MS), out=w),
                        spin_sums=spin_sums, spin_diffs=spin_diffs)
     return trace, LockInResult(x_l1=x_l1, x_l2=x_l2)
 
@@ -167,9 +171,10 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     def chunk(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
         sums = np.empty((4, m))  # xi @ c, xi @ s, then zeta @ c, zeta @ s
+        buf = np.empty((min(_ROW_BLOCK, m), n_steps))  # every block is drawn into it
         for noise in (sums[:2], sums[2:]):
             for row in range(0, m, _ROW_BLOCK):
-                block = rng.standard_normal((min(_ROW_BLOCK, m - row), n_steps))
+                block = rng.standard_normal(out=buf[:m - row])
                 noise[:, row:row + len(block)] = block @ c, block @ s
 
         shot_c, shot_s = np.sqrt(0.5 * dt) * sums[:2]

@@ -157,6 +157,30 @@ class TestRun:
         assert done.stdout == ""
         assert re.fullmatch(r"error: the [a-z ]+ at kappa2 = \S+ are not finite\n", done.stderr)
 
+    def test_coupling_lost_in_the_bound_is_undetermined(self, capsys):
+        # 1 + 1e-300 == 1: cond_var < 1 + kappa2 is a coin flip, not a verdict
+        code, out, _ = run_cli(capsys, "run", "--kappa2", "1e-300", "--cycles", "100")
+        assert code == 0
+        assert parse_kv(out)["entangled"] == "undetermined"
+
+    @pytest.mark.parametrize("kappa2", ["1e16", "1e306"])
+    def test_cond_var_without_a_correct_digit_refused(self, kappa2):
+        # the Gram form printed cond_var = 10.34 and 0 here, both with a verdict
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "spinlight.cli", "run", "--kappa2", kappa2,
+                               "--cycles", "100"],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert re.fullmatch(r"error: cond_var at kappa2 = \S+ has no correct digit: [^\n]*\n",
+                            done.stderr)
+
+    @pytest.mark.parametrize("kappa2", ["1e-6", "1", "1e8"])
+    def test_verdict_kept_where_the_bound_resolves(self, capsys, kappa2):
+        code, out, _ = run_cli(capsys, "run", "--kappa2", kappa2, "--cycles", "100")
+        assert code == 0
+        assert parse_kv(out)["entangled"] == "true"
+
     def test_subnormal_coupling_refused(self, capsys):
         # finite statistics, but atomic_var = (cond_var - 1) / kappa2 overflows
         code, out, err = run_cli(capsys, "run", "--kappa2", "1e-320", "--cycles", "100")

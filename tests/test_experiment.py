@@ -270,6 +270,17 @@ class TestVerdict:
             entanglement_verdict(stats)
         assert "entangled = undetermined" in summary_text(stats)
 
+    def test_coupling_below_the_bound_resolution_withholds_verdict(self):
+        stats = stream_cycle_stats(1e-300, 1.0, 1000, seed=1)
+        assert stats.calibration_ok and stats.entangled is None
+        with pytest.raises(CalibrationError):
+            entanglement_verdict(stats)
+
+    @pytest.mark.parametrize("kappa2,n", [(1e16, 100), (1e16, 10_000), (1e306, 100)])
+    def test_cond_var_below_its_rounding_refused(self, kappa2, n):
+        with pytest.raises(ValueError, match="no correct digit"):
+            stream_cycle_stats(kappa2, 1.0, n, seed=1)
+
     @pytest.mark.parametrize("beta", [1.0, 0.65, 0.0])
     def test_definitional_bound(self, beta):
         stats = stream_cycle_stats(1.0, beta, 20_000, seed=20)

@@ -1,7 +1,11 @@
 """Stochastic pulse integration, lock-in demodulation, shot-noise scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlight.timedomain import (
     DEFAULT_OMEGA_T,
@@ -162,6 +166,76 @@ def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed):
         out[start:start + m, 4] = atoms[:, 2] - drive_scale * (zeta @ s)
         out[start:start + m, 5] = atoms[:, 3]
     return out
+
+
+def reference_pulse(kappa, omega_T, n_steps, atoms_in, rng):
+    """simulate_pulse as it was before its temporaries reused buffers: every
+    intermediate array is a fresh one."""
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
+    xa1, pa1, xa2, pa2 = (float(v) for v in atoms_in)
+    jy1_0, jy2_0 = 0.5 * (pa2 + xa1), 0.5 * (pa2 - xa1)
+    jz1_0, jz2_0 = 0.5 * (pa1 - xa2), 0.5 * (pa1 + xa2)
+    xi = rng.standard_normal(n_steps)
+    zeta = rng.standard_normal(n_steps)
+    drive = 0.5 * kappa * np.sqrt(dt / PULSE_MS) * zeta
+    cum_y = np.cumsum(drive * c)
+    cum_z = np.cumsum(drive * s)
+    jy1, jy2 = jy1_0 + cum_y, jy2_0 - cum_y
+    jz1, jz2 = jz1_0 + cum_z, jz2_0 - cum_z
+    spin_sums = np.column_stack([jy1 + jy2, jz1 + jz2])
+    spin_diffs = np.column_stack([jy1 - jy2, jz1 - jz2])
+    atomic = np.sqrt(2.0) * (kappa / np.sqrt(PULSE_MS)) * dt * (
+        spin_sums[:, 1] * c + spin_sums[:, 0] * s)
+    w = np.sqrt(0.5 * dt) * xi + atomic
+    x_l1 = float(np.dot(w, c) / np.sqrt(norm_c))
+    x_l2 = float(np.dot(w, s) / np.sqrt(norm_s))
+    return w / np.sqrt(0.5 * PULSE_MS), spin_sums, spin_diffs, x_l1, x_l2
+
+
+class TestPulseDeterminism:
+    @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           atoms=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+           grid=st.sampled_from([(OMEGA_T, N_STEPS), (OMEGA_T, N_STEPS + 37),
+                                 (2.0 * np.pi * 20.43, 2100), (2.0 * np.pi, 100),
+                                 (DEFAULT_OMEGA_T, 65_000)]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_bitwise(self, kappa, atoms, grid, seed):
+        omega_t, n_steps = grid
+        trace, lock = simulate_pulse(kappa, omega_t, n_steps, atoms, np.random.default_rng(seed))
+        sy, sums, diffs, x_l1, x_l2 = reference_pulse(kappa, omega_t, n_steps, atoms,
+                                                      np.random.default_rng(seed))
+        assert trace.sy_samples.tobytes() == sy.tobytes()
+        assert trace.spin_sums.tobytes() == sums.tobytes()
+        assert trace.spin_diffs.tobytes() == diffs.tobytes()
+        assert (lock.x_l1, lock.x_l2) == (x_l1, x_l2)
+
+
+def traced_peak_steps(fn, n_steps):
+    """Peak of the heap that fn allocates, in arrays of n_steps float64s.
+    numpy reports its buffers to tracemalloc, so this is deterministic."""
+    np.random.default_rng(0)  # numpy.random imports lazily; keep its modules out of the peak
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * n_steps)
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeapPeak:
+    # what the kernels need is 10 step arrays: c and s, plus the 8-row noise
+    # block, or plus xi, zeta, the two (n_steps, 2) traces and two scratch arrays
+    def test_ensemble_reuses_one_noise_block(self):
+        peak = traced_peak_steps(
+            lambda: pulse_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 64, seed=1), 65_000)
+        assert peak <= 11, peak
+
+    def test_pulse_reuses_its_temporaries(self):
+        peak = traced_peak_steps(
+            lambda: simulate_pulse(1.0, DEFAULT_OMEGA_T, 65_000, (0.1, 0.2, 0.3, 0.4),
+                                   np.random.default_rng(1)), 65_000)
+        assert peak <= 12, peak
 
 
 class TestEnsembleDeterminism:
