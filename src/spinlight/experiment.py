@@ -299,14 +299,19 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
                       seed: int) -> list[tuple[str, float, float, bool]]:
     """Compare Monte Carlo moments against the engine's exact prediction.
 
-    Entries are held to |mc - exact| <= 0.03 * max(|exact|, 1/2); signs
-    of the X_A back-action differ between the raw rotating-frame equations
-    and the canonical pair map, so only magnitude-symmetric entries are
-    compared (variances and the cross terms that vanish or match).  Sample
-    means are checked against the engine's zero means at 5 standard errors.
+    Entries are held to |mc - exact| <= 0.03 * max(|exact|, 1/2).  At a whole
+    number of Larmor cycles timedomain.pulse_covariance equals the engine's
+    covariance in all 36 entries, signs included; the 11 compared are the
+    variances, cov(x_li, P_Ai) and three of the 13 distinct entries that
+    vanish.  Sample means are checked against the engine's zero means at 5
+    standard errors.  Raises ValueError when the sample moments are not finite.
     """
     ensemble = timedomain.pulse_ensemble(kappa, omega_T, n_steps, n_runs, seed)
-    mc_cov = np.cov(ensemble, rowvar=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        mc_cov = np.cov(ensemble, rowvar=False)
+    if not np.isfinite(mc_cov).all():  # so is it wherever a sample mean is not
+        # kappa**2 is the kappa2 given to about 1 ulp: 15 digits print that value
+        raise ValueError(f"the sample moments at kappa2 = {kappa**2:.15g} are not finite")
     exact = engine_pulse_covariance(kappa)
     rows = []
     names = ("x_l1", "x_l2", "X_A1", "P_A1", "X_A2", "P_A2")
@@ -372,7 +377,8 @@ def summary_text(stats: CycleStats) -> str:
         f"var2 = {_fmt(stats.var2)}",
         f"alpha_star = {_fmt(stats.alpha_star)}",
         f"cond_var = {_fmt(stats.cond_var)}",
-        *([f"atomic_var = {_fmt(stats.atomic_var_inferred)}"] if stats.kappa2 > 0 else []),
+        *([f"atomic_var = {_fmt(stats.atomic_var_inferred)}"]
+          if stats.entangled is not None else []),
         f"calibration = {'ok' if stats.calibration_ok else 'failed'}",
         f"entangled = {verdict}",
     ]

@@ -59,25 +59,6 @@ class LockInResult:
     x_l2: float  # sin channel
 
 
-@dataclass(frozen=True)
-class PulseMoments:
-    """Exact second moments of the discretized model (no Monte Carlo)."""
-
-    var_xl1: float
-    var_xl2: float
-    cov_xl1_xl2: float
-    kappa_eff_1: float
-    kappa_eff_2: float
-
-
-def _check_resolution(omega_T: float, n_steps: int) -> None:
-    cycles = omega_T / (2.0 * np.pi)
-    if n_steps < STEPS_PER_CYCLE * cycles:
-        raise ValueError(
-            f"n_steps={n_steps} under-resolves the Larmor precession; "
-            f"need >= {STEPS_PER_CYCLE} steps per cycle ({cycles:.1f} cycles)")
-
-
 def _weights(omega_T: float, n_steps: int):
     """Midpoint cos/sin samples and the exact discrete demodulation norms."""
     dt = PULSE_MS / n_steps
@@ -89,6 +70,23 @@ def _weights(omega_T: float, n_steps: int):
     return dt, c, s, norm_c, norm_s
 
 
+def _pulse(kappa: float, omega_T: float, n_steps: int):
+    """The set-up every kernel goes through: refuse what the scheme cannot
+    integrate, then _weights' grid, the exact discrete sums (sum_cc, sum_ss,
+    sum_cs) and the read-out and back-action scales of the closed-over ensemble."""
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    cycles = omega_T / (2.0 * np.pi)
+    if n_steps < STEPS_PER_CYCLE * cycles:
+        raise ValueError(
+            f"n_steps={n_steps} under-resolves the Larmor precession; "
+            f"need >= {STEPS_PER_CYCLE} steps per cycle ({cycles:.1f} cycles)")
+    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
+    sums = norm_c / dt, norm_s / dt, float(np.sum(c * s))
+    scales = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt, kappa * np.sqrt(dt / PULSE_MS)
+    return dt, c, s, norm_c, norm_s, sums, scales
+
+
 def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
                    atoms_in: tuple[float, float, float, float],
                    rng: np.random.Generator) -> tuple[PulseTrace, LockInResult]:
@@ -98,10 +96,7 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     (X_A1, P_A1, X_A2, P_A2).  Returns the full trace (for conservation and
     dump purposes) plus the demodulated light outputs.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    _check_resolution(omega_T, n_steps)
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
+    dt, c, s, norm_c, norm_s, _, _ = _pulse(kappa, omega_T, n_steps)
     xa1, pa1, xa2, pa2 = (float(v) for v in atoms_in)
 
     # Per-cell canonical-normalized transverse components.
@@ -157,16 +152,8 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), drawn in the seeded
     chunks of spinlight.chunks, serially.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    _check_resolution(omega_T, n_steps)
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
-    sum_cc = norm_c / dt
-    sum_ss = norm_s / dt
-    sum_cs = float(np.sum(c * s))
-
-    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt
-    drive_scale = kappa * np.sqrt(dt / PULSE_MS)
+    dt, c, s, norm_c, norm_s, (sum_cc, sum_ss, sum_cs), (atomic_scale, drive_scale) = \
+        _pulse(kappa, omega_T, n_steps)
 
     def chunk(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
@@ -190,24 +177,28 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     return np.concatenate(list(chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed)))
 
 
-def discrete_moments(kappa: float, omega_T: float, n_steps: int) -> PulseMoments:
-    """Closed-form lock-in moments of the discretized model (vacuum atoms).
+def pulse_covariance(kappa: float, omega_T: float, n_steps: int) -> np.ndarray:
+    """Exact covariance of pulse_ensemble's rows, with no Monte Carlo.
 
-    Used to quantify pure discretization effects without Monte Carlo error:
-    for an integer number of Larmor cycles the moments are exactly
-    (1 + kappa^2)/2 with zero cross term at any resolution.
+    Each row is linear in the vacuum atomic quadratures (variance 1/2) and
+    the noise projections xi.c, xi.s, zeta.c, zeta.s, whose covariance is the
+    Gram matrix of (c, s); so the covariance is M D M^T.  For a whole number
+    of Larmor cycles it equals the symplectic engine's to round-off at any
+    resolution; otherwise the difference is discretization alone.
     """
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
-    m_cs = float(np.sum(c * s) * dt)
-    t = PULSE_MS
-    var1 = 0.5 + kappa**2 * (norm_c**2 + m_cs**2) / (t * norm_c)
-    var2 = 0.5 + kappa**2 * (norm_s**2 + m_cs**2) / (t * norm_s)
-    cov = (0.5 * m_cs + kappa**2 * m_cs * (norm_c + norm_s) / t) / np.sqrt(norm_c * norm_s)
-    k1 = kappa * np.sqrt(2.0 * norm_c / t)
-    k2 = kappa * np.sqrt(2.0 * norm_s / t)
-    return PulseMoments(var_xl1=float(var1), var_xl2=float(var2),
-                        cov_xl1_xl2=float(cov), kappa_eff_1=float(k1),
-                        kappa_eff_2=float(k2))
+    dt, _, _, norm_c, norm_s, (sum_cc, sum_ss, sum_cs), (atomic_scale, drive_scale) = \
+        _pulse(kappa, omega_T, n_steps)
+    gram = np.array([[sum_cc, sum_cs], [sum_cs, sum_ss]])
+    m = np.zeros((6, 8))  # inputs: xa1 pa1 xa2 pa2, xi.c xi.s, zeta.c zeta.s
+    m[:2, [1, 3]] = atomic_scale * gram
+    m[:2, 4:6] = np.sqrt(0.5 * dt) * np.eye(2)
+    m[:2] /= np.sqrt([[norm_c], [norm_s]])
+    m[2:, :4] = np.eye(4)
+    m[2, 6], m[4, 7] = drive_scale, -drive_scale
+    d = np.zeros((8, 8))
+    d[:4, :4] = 0.5 * np.eye(4)
+    d[4:, 4:] = np.kron(np.eye(2), gram)
+    return m @ d @ m.T
 
 
 def shot_noise_scaling(n_ph_list: list[float], rng: np.random.Generator,

@@ -146,7 +146,8 @@ class TestRun:
         ("run", "--kappa2", "3e306", "--cycles", "100"),  # the statistics overflow
         ("run", "--kappa2", "1e308", "--cycles", "100"),  # the outcome sums overflow
         ("run", "--kappa2", "6e304", "--cycles", "8192"),  # the sum of two chunks overflows
-        ("sweep", "--theta-grid", "2,1e308", "--cycles", "100")])
+        ("sweep", "--theta-grid", "2,1e308", "--cycles", "100"),
+        ("timedomain", "--kappa2", "1e308", "--cycles", "100")])  # the sample covariance overflows
     def test_refusal_prints_one_stderr_line(self, tmp_path, argv, workers):
         # in a fresh interpreter, so stderr holds whatever numpy would warn
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
@@ -158,10 +159,12 @@ class TestRun:
         assert re.fullmatch(r"error: the [a-z ]+ at kappa2 = \S+ are not finite\n", done.stderr)
 
     def test_coupling_lost_in_the_bound_is_undetermined(self, capsys):
-        # 1 + 1e-300 == 1: cond_var < 1 + kappa2 is a coin flip, not a verdict
+        # 1 + 1e-300 == 1: cond_var < 1 + kappa2 is a coin flip, not a verdict, and
+        # atomic_var = (cond_var - 1) / 1e-300 (printed as -8.97e+298) is shot noise
         code, out, _ = run_cli(capsys, "run", "--kappa2", "1e-300", "--cycles", "100")
         assert code == 0
         assert parse_kv(out)["entangled"] == "undetermined"
+        assert "atomic_var" not in parse_kv(out)
 
     @pytest.mark.parametrize("kappa2", ["1e16", "1e306"])
     def test_cond_var_without_a_correct_digit_refused(self, kappa2):
@@ -248,6 +251,35 @@ class TestSweep:
         assert code == 1
 
 
+# test_report_passes' whole stdout: any kernel or BLAS-threading change that moves
+# a printed digit fails it.  The trace CSV is not pinned: its 17-digit cos/sin
+# values may differ in the last bit between CPUs.
+TIMEDOMAIN_REPORT = """\
+kappa2 = 1
+runs = 20000
+moment                timedomain        engine  status
+mean(x_l1)              0.003394      0.000000  PASS
+mean(x_l2)             -0.011562      0.000000  PASS
+mean(X_A1)              0.001725      0.000000  PASS
+mean(P_A1)              0.002317      0.000000  PASS
+mean(X_A2)             -0.000783      0.000000  PASS
+mean(P_A2)             -0.005394      0.000000  PASS
+var(x_l1)               1.005667      1.000000  PASS
+var(x_l2)               0.999564      1.000000  PASS
+cov(x_l1,x_l2)         -0.007772      0.000000  PASS
+var(X_A1)               0.990671      1.000000  PASS
+var(P_A1)               0.505690      0.500000  PASS
+var(X_A2)               1.006133      1.000000  PASS
+var(P_A2)               0.504624      0.500000  PASS
+cov(x_l1,P_A1)          0.505414      0.500000  PASS
+cov(x_l2,P_A2)          0.499386      0.500000  PASS
+cov(X_A1,P_A1)          0.000658      0.000000  PASS
+cov(x_l1,X_A1)          0.002365      0.000000  PASS
+spin-sum drift = 0.000e+00 (PASS)
+overall = PASS
+"""
+
+
 class TestTimedomain:
     def test_report_passes(self, capsys, tmp_path, monkeypatch):
         # lighter resolution for the test harness; the default 650-cycle pulse
@@ -259,9 +291,16 @@ class TestTimedomain:
                                "--cycles", "20000", "--seed", "17",
                                "--out", str(trace_path))
         assert code == 0
-        assert "overall = PASS" in out
-        assert "spin-sum drift" in out
+        assert out == TIMEDOMAIN_REPORT
         assert trace_path.exists()
+
+    def test_overflowing_moments_refused_at_the_given_coupling(self, capsys, monkeypatch):
+        # sqrt(1.7e308)**2 is 1.6999999999999997e+308; the message shows what was given
+        import spinlight.timedomain as td
+        monkeypatch.setattr(td, "DEFAULT_OMEGA_T", 2.0 * np.pi * 20.0)
+        code, out, err = run_cli(capsys, "timedomain", "--kappa2", "1.7e308", "--cycles", "100")
+        assert (code, out) == (1, "")
+        assert err == "error: the sample moments at kappa2 = 1.7e+308 are not finite\n"
 
     def test_failed_gate_exit_code(self, capsys, monkeypatch):
         # 64 runs cannot meet the 3% moment gate

@@ -1,5 +1,7 @@
 """Stochastic pulse integration, lock-in demodulation, shot-noise scaling."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlight.experiment import engine_pulse_covariance
 from spinlight.timedomain import (
     DEFAULT_OMEGA_T,
     PULSE_MS,
     _weights,
     diff_noise_growth,
-    discrete_moments,
     final_atoms,
+    pulse_covariance,
     pulse_ensemble,
     shot_noise_scaling,
     simulate_pulse,
@@ -65,6 +68,21 @@ class TestSimulatePulse:
         with pytest.raises(ValueError):
             pulse_ensemble(1.0, OMEGA_T, 500, 10, seed=0)
 
+    @pytest.mark.parametrize("kappa,n_steps,message", [
+        (1.0, 500, "n_steps=500 under-resolves the Larmor precession; "
+                   "need >= 100 steps per cycle (20.0 cycles)"),
+        (1.0, N_STEPS - 1, "n_steps=1999 under-resolves"),
+        (-1.0, N_STEPS, "kappa must be >= 0"),
+        (-1.0, 500, "kappa must be >= 0")])
+    def test_every_kernel_refuses_alike(self, kappa, n_steps, message):
+        kernels = (
+            lambda: simulate_pulse(kappa, OMEGA_T, n_steps, (0, 0, 0, 0), np.random.default_rng(0)),
+            lambda: pulse_ensemble(kappa, OMEGA_T, n_steps, 10, seed=0),
+            lambda: pulse_covariance(kappa, OMEGA_T, n_steps))
+        for kernel in kernels:
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                kernel()
+
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             simulate_pulse(-1.0, OMEGA_T, N_STEPS, (0, 0, 0, 0),
@@ -107,29 +125,44 @@ class TestDemodulation:
         assert abs(cov) <= 4.0 / np.sqrt(10_000)
 
     def test_integer_cycle_moments_exact(self):
-        m = discrete_moments(1.3, 2.0 * np.pi * 100.0, 10_000)
-        assert m.var_xl1 == pytest.approx(0.5 + 1.3**2 / 2, abs=1e-12)
-        assert m.cov_xl1_xl2 == pytest.approx(0.0, abs=1e-12)
-        assert m.kappa_eff_1 == pytest.approx(1.3, abs=1e-12)
+        cov = pulse_covariance(1.3, 2.0 * np.pi * 100.0, 10_000)
+        assert cov[0, 0] == pytest.approx(0.5 + 1.3**2 / 2, abs=1e-12)
+        assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert 2 * cov[0, 3] == pytest.approx(1.3, abs=1e-12)  # effective coupling
 
     def test_discretization_convergence(self):
         # non-integer cycle count exposes genuine discretization effects
         omega_t = 2.0 * np.pi * 100.37
-        coarse = discrete_moments(1.0, omega_t, 10_050)
-        fine = discrete_moments(1.0, omega_t, 20_100)
-        assert abs(fine.var_xl1 - coarse.var_xl1) / coarse.var_xl1 < 0.005
+        coarse = pulse_covariance(1.0, omega_t, 10_050)[0, 0]
+        fine = pulse_covariance(1.0, omega_t, 20_100)[0, 0]
+        assert abs(fine - coarse) / coarse < 0.005
 
     def test_closed_form_matches_monte_carlo_off_resonance(self):
-        # the convergence check above leans on these formulas; pin them to a
+        # the convergence check above leans on the exact covariance; pin it to a
         # brute-force ensemble at a non-integer cycle count
         omega_t = 2.0 * np.pi * 20.43
-        m = discrete_moments(1.0, omega_t, 2100)
+        cov = pulse_covariance(1.0, omega_t, 2100)
         ens = pulse_ensemble(1.0, omega_t, 2100, 40_000, seed=9)
-        se = m.var_xl1 * np.sqrt(2.0 / 40_000)
-        assert np.var(ens[:, 0], ddof=1) == pytest.approx(m.var_xl1, abs=4 * se)
-        assert np.var(ens[:, 1], ddof=1) == pytest.approx(m.var_xl2, abs=4 * se)
+        se = cov[0, 0] * np.sqrt(2.0 / 40_000)
+        assert np.var(ens[:, 0], ddof=1) == pytest.approx(cov[0, 0], abs=4 * se)
+        assert np.var(ens[:, 1], ddof=1) == pytest.approx(cov[1, 1], abs=4 * se)
         assert np.cov(ens[:, 0], ens[:, 3])[0, 1] / 0.5 == pytest.approx(
-            m.kappa_eff_1, abs=4 * se)
+            2 * cov[0, 3], abs=4 * se)
+
+    @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), cycles=st.integers(1, 650))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_cycles_equal_the_engine(self, kappa, cycles):
+        # 100 steps per cycle, or one more where omega_T / 2 pi rounds above
+        # the whole count.  The phases carry rounding up to eps omega_T, which
+        # the n_steps-term sums accumulate as a random walk: a relative error
+        # of about 2 eps omega_T / sqrt(n_steps) = 0.13 eps sqrt(n_steps),
+        # on entries of size up to 1 + kappa^2.  The bound allows 8 times that
+        # (every count from 1 to 650 at kappa = 5 stays under 0.27 of it).
+        omega_t = 2.0 * np.pi * cycles
+        n_steps = math.ceil(100 * (omega_t / (2.0 * np.pi)))
+        got = pulse_covariance(kappa, omega_t, n_steps)
+        bound = np.finfo(float).eps * np.sqrt(n_steps) * (1.0 + kappa**2)
+        np.testing.assert_allclose(got, engine_pulse_covariance(kappa), rtol=0, atol=bound)
 
     def test_single_run_path_variance(self):
         # full-trace integrator (not the closed-over ensemble) at kappa = 1
