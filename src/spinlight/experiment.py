@@ -18,6 +18,8 @@ Cycles are simulated in the seeded chunks of spinlight.chunks, so any
 degree of parallelism produces byte-identical results.  The statistics need
 only the 4x4 Gram matrix of the outcomes, summed in chunk order, so
 stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
+density_sweep writes no cycles, so it draws each chunk's Gram matrix from its
+Wishart law (_gram_draws) in place of the cycles.
 """
 
 from __future__ import annotations
@@ -91,16 +93,18 @@ class SweepRow:
     theory_alpha_ideal: float
 
 
-def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
-            electronics_std: float):
-    """(start, rows, rows.T @ rows) of each chunk in chunk order, where rows
-    is the chunk's (count, 4) array of (a1, b1, a2, b2) outcomes."""
+def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: float):
+    """The checked chunk kernel: chunk(rng, start, count) gives (start, rows,
+    rows.T @ rows), where rows is the chunk's (count, 4) array of (a1, b1, a2,
+    b2) outcomes."""
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
+    if not electronics_std >= 0.0:  # e < 0 adds no noise to the cycles but e^2 to Sigma
+        raise ValueError("electronics_std must be >= 0")
     kappa, decay = np.sqrt(kappa2), np.sqrt(1.0 - beta**2)
 
     def chunk(rng: np.random.Generator, start: int, count: int):
@@ -119,6 +123,46 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
         # the caller refuses sums that are not finite; errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
             return start, cols.T, cols @ cols.T
+
+    return chunk
+
+
+def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
+            electronics_std: float):
+    """(start, rows, rows.T @ rows) of each chunk in chunk order."""
+    chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
+    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
+
+
+def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
+                electronics_std: float):
+    """(start, None, gram) of each chunk in chunk order, where gram is drawn
+    from the law of _cycles' rows.T @ rows without drawing the rows.
+
+    The rows are iid N(0, Sigma): in (a1, b1, a2, b2) order Sigma has
+    diagonal h = (1 + kappa2)/2 + e^2 and cov(a1, a2) = cov(b1, b2) = g =
+    kappa2 beta / 2, so a chunk's Gram matrix is Wishart(Sigma, count).  The
+    Bartlett decomposition draws it as L A A^T L^T: L is Sigma's Cholesky
+    factor, A lower triangular with A_ii = sqrt(chi2(count - i)) and N(0, 1)
+    below the diagonal.  A chunk of fewer than 4 cycles, whose Wishart is
+    singular, is drawn as (start, rows, gram) by the cycle kernel.
+    """
+    rows_chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
+    h, g = (1.0 + kappa2) / 2.0 + electronics_std**2, kappa2 * beta / 2.0
+    # each channel's 2x2 factor in closed form: g * g overflows where g * (g / h) does not
+    l11 = np.sqrt(h)
+    l21, l22 = g / l11, np.sqrt(h - g * (g / h))
+    factor = np.array([[l11, 0, 0, 0], [0, l11, 0, 0], [l21, 0, l22, 0], [0, l21, 0, l22]])
+    lower, dof = np.tril_indices(4, -1), np.arange(4)
+
+    def chunk(rng: np.random.Generator, start: int, count: int):
+        if count < 4:
+            return rows_chunk(rng, start, count)
+        bartlett = np.diag(np.sqrt(rng.chisquare(count - dof)))
+        bartlett[lower] = rng.standard_normal(6)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the cycle kernel
+            half = factor @ bartlett
+            return start, None, half @ half.T
 
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
@@ -209,12 +253,19 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     statistics are not finite; for sums that overflow in the first chunk,
     before `out` is opened.
     """
+    return _reduce(_cycles(kappa2, beta, n_cycles, seed, parallel, electronics_std),
+                   kappa2, beta, n_cycles, out)
+
+
+def _reduce(chunks, kappa2: float, beta: float, n_cycles: int,
+            out: str | None = None) -> CycleStats:
+    """CycleStats of the (start, rows, gram) chunks of either producer, their
+    Gram matrices summed in chunk order; `out` takes the rows as they arrive."""
     gram = 0
 
     def blocks():
         nonlocal gram
-        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel,
-                                               electronics_std):
+        for start, rows, chunk_gram in chunks:
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 gram = gram + chunk_gram
             if not np.isfinite(gram).all():
@@ -345,8 +396,8 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        stats = stream_cycle_stats(kappa2, beta, n_cycles, int(row_seed),
-                                   parallel=parallel, electronics_std=electronics_std)
+        stats = _reduce(_gram_draws(kappa2, beta, n_cycles, int(row_seed), parallel,
+                                    electronics_std), kappa2, beta, n_cycles)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(

@@ -77,7 +77,8 @@ def _pulse(kappa: float, omega_T: float, n_steps: int):
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     cycles = omega_T / (2.0 * np.pi)
-    if n_steps < STEPS_PER_CYCLE * cycles:
+    # 2 pi k / (2 pi) can round an ulp above the whole count k: allow 4 ulps
+    if n_steps < STEPS_PER_CYCLE * cycles * (1.0 - 4.0 * np.finfo(float).eps):
         raise ValueError(
             f"n_steps={n_steps} under-resolves the Larmor precession; "
             f"need >= {STEPS_PER_CYCLE} steps per cycle ({cycles:.1f} cycles)")

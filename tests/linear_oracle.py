@@ -140,3 +140,27 @@ def conditioned_atom_cov(kappa: float) -> np.ndarray:
     xl = 2
     gain = cov[atom, xl] / cov[xl, xl]
     return cov[np.ix_(atom, atom)] - np.outer(gain, cov[xl, atom])
+
+
+def cycle_stat_laws(kappa2: float, beta: float, electronics_std: float,
+                    n: int) -> dict[str, tuple[float, float]]:
+    """Exact (mean, variance) of var1, cond_var and alpha_star over n cycles.
+
+    Per channel and cycle, the outcomes (a1, a2) are N(0, [[h, g], [g, h]])
+    with h = (1 + kappa2)/2 + e^2 and g = kappa2 beta / 2, iid over the 2n
+    pooled pairs.  With r = h - g^2/h, the variance of a2 given a1:
+        (n - 1) var1     ~ h chi2(2n),
+        (n - 1) cond_var ~ r chi2(2n - 1)  (residuals of a fit through 0),
+        alpha_star | a1  ~ N(g/h, r / sum a1^2), and E[1/chi2(2n)] = 1/(2n - 2).
+    At e = 0, 2 r is the model conditional variance
+    1 + kappa2 (1 + (1 - beta^2) kappa2) / (1 + kappa2).
+    """
+    h = (1.0 + kappa2) / 2.0 + electronics_std**2
+    g = kappa2 * beta / 2.0
+    r = h - g * g / h
+    m = n - 1
+    return {
+        "var1": (h * 2 * n / m, h**2 * 4 * n / m**2),
+        "cond_var": (r * (2 * n - 1) / m, r**2 * 2 * (2 * n - 1) / m**2),
+        "alpha_star": (g / h, r / (h * (2 * n - 2))),
+    }

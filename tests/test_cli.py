@@ -242,6 +242,16 @@ class TestSweep:
         assert "not finite" in err
         assert not path.exists()
 
+    def test_csv_bytes_pinned(self, capsys, tmp_path):
+        # four chunks drawn as Gram matrices and a last chunk of 2 drawn as rows:
+        # a change to either stream is a deliberate edit of this digest
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--cycles", "16386",
+                             "--seed", "5", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a6d18b7780a415de60a4adde5416e136e531fc32b9f33e1038063176d37a6b33")
+
     def test_missing_out_is_usage_error(self, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("sweep simulated before checking --out")

@@ -1,5 +1,7 @@
 """Measurement-cycle Monte Carlo, statistics, verdicts, density sweep."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ from spinlight.experiment import (
     write_sweep_csv,
 )
 from spinlight.output import CSV_BLOCK_ROWS, write_csv
+from spinlight.physics import kappa2_experimental
+
+from linear_oracle import cycle_stat_laws
 
 N = 100_000
 
@@ -387,11 +392,84 @@ class TestDensitySweep:
 
     def test_negative_angle_refused_before_simulating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spinlight.experiment, "stream_cycle_stats",
+        monkeypatch.setattr(spinlight.experiment, "_gram_draws",
                             lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError, match="theta values must be >= 0"):
             density_sweep([2.0, -1.0], 0.65, 100, seed=0)
         assert calls == []
+
+    @pytest.mark.parametrize("n_cycles", [2, 3, 4, 5, 4097, 8195])
+    def test_short_last_chunks_give_finite_rows(self, n_cycles):
+        # chunks of fewer than 4 cycles are drawn as rows, the others as Gram matrices
+        rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44, electronics_std=0.1)
+        assert all(np.isfinite(astuple(row)).all() for row in rows)
+
+    def test_rows_equal_at_any_parallelism(self):
+        grid = (2.0, 4.0, 6.0)
+        n_cycles = 5 * CYCLE_CHUNK + 3
+        runs = [repr(density_sweep(grid, 0.65, n_cycles, seed=45, parallel=workers))
+                for workers in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestSamplingLaws:
+    """Both producers of Gram matrices against the exact laws of
+    linear_oracle.cycle_stat_laws, in mean and variance, over many seeds.
+    8 cycles, one chunk, show the laws' degrees of freedom; CYCLE_CHUNK + 4
+    leave a last chunk of 4, whose last Bartlett diagonal is sqrt(chi2(1))."""
+
+    CASES = ((0.65, 0.0), (1.0, 0.3), (0.0, 0.5))  # (beta, electronics_std)
+    THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4
+
+    @staticmethod
+    def assert_law(samples, law, label):
+        # 4.5 standard errors; the variance's SE from the samples' own 4th moment
+        mean, var = law
+        samples = np.asarray(samples)
+        dev = samples - samples.mean()
+        var_se = np.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / samples.size)
+        assert abs(samples.mean() - mean) <= 4.5 * np.sqrt(var / samples.size), label
+        assert abs(np.var(samples, ddof=1) - var) <= 4.5 * var_se, label
+
+    def check(self, stats_of, n_cycles, n_seeds):
+        # stats_of(thetas, beta, e, n_cycles, seed) -> [(kappa2, var1, cond_var, alpha_star)]
+        for beta, e_std in self.CASES:
+            draws = np.array([stats_of(self.THETAS, beta, e_std, n_cycles, seed)
+                              for seed in range(n_seeds)])
+            for i, (kappa2, *_) in enumerate(draws[0]):
+                laws = cycle_stat_laws(kappa2, beta, e_std, n_cycles)
+                for j, name in enumerate(("var1", "cond_var", "alpha_star"), start=1):
+                    label = f"{name} at kappa2={kappa2}, beta={beta}, e={e_std}"
+                    self.assert_law(draws[:, i, j], laws[name], label)
+
+    @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200)])
+    def test_density_sweep(self, n_cycles, n_seeds):
+        def stats_of(thetas, beta, e_std, n, seed):
+            floor = 1.0 + 2.0 * e_std**2
+            return [(row.kappa2, row.pn1 + floor, row.cond_var_minus_shot + floor,
+                     row.alpha_star)
+                    for row in density_sweep(thetas, beta, n, seed, electronics_std=e_std)]
+
+        self.check(stats_of, n_cycles, n_seeds)
+
+    @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200)])
+    def test_stream_cycle_stats(self, n_cycles, n_seeds):
+        def stats_of(thetas, beta, e_std, n, seed):
+            rows = []
+            for theta in thetas:
+                kappa2 = kappa2_experimental(theta)
+                stats = stream_cycle_stats(kappa2, beta, n, seed, electronics_std=e_std)
+                rows.append((kappa2, stats.var1, stats.cond_var, stats.alpha_star))
+            return rows
+
+        self.check(stats_of, n_cycles, n_seeds)
+
+    @pytest.mark.parametrize("kappa2", [0.0, 1.0, 4.0])
+    def test_residual_law_is_the_model_at_zero_electronics(self, kappa2):
+        n = 100
+        mean, _ = cycle_stat_laws(kappa2, 0.65, 0.0, n)["cond_var"]
+        assert 2.0 * mean * (n - 1) / (2 * n - 1) == pytest.approx(
+            theory_curves(kappa2, 0.65)[0], rel=1e-14)
 
 
 class TestElectronicsFloor:
@@ -413,6 +491,14 @@ class TestElectronicsFloor:
         elec = e_std * rng.standard_normal((count, 4))
         for i, name in enumerate(("a1", "b1", "a2", "b2")):
             assert np.array_equal(getattr(noisy, name), getattr(clean, name) + elec[:, i])
+
+    @pytest.mark.parametrize("e_std", [-0.4, float("nan")])
+    def test_negative_or_nan_noise_refused(self, e_std):
+        # -0.4 added no noise to the cycles but took 2 e^2 off the sweep's columns
+        with pytest.raises(ValueError, match="electronics_std must be >= 0"):
+            stream_cycle_stats(1.0, 1.0, 100, seed=50, electronics_std=e_std)
+        with pytest.raises(ValueError, match="electronics_std must be >= 0"):
+            density_sweep([10.0], 1.0, 100, seed=50, electronics_std=e_std)
 
 
 class TestOutputs:

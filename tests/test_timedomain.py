@@ -1,6 +1,5 @@
 """Stochastic pulse integration, lock-in demodulation, shot-noise scaling."""
 
-import math
 import re
 import tracemalloc
 
@@ -67,6 +66,15 @@ class TestSimulatePulse:
             simulate_pulse(1.0, OMEGA_T, 500, (0, 0, 0, 0), np.random.default_rng(0))
         with pytest.raises(ValueError):
             pulse_ensemble(1.0, OMEGA_T, 500, 10, seed=0)
+
+    def test_every_whole_cycle_count_resolves_at_100_steps_each(self):
+        # omega_T / 2 pi rounds one ulp above 13, 26, 52, 83, 99 and 30 more
+        # of these counts; one step fewer than 100 per cycle is still refused
+        for cycles in range(1, 651):
+            omega_t = 2.0 * np.pi * cycles
+            assert np.isfinite(pulse_covariance(1.0, omega_t, 100 * cycles)).all()
+            with pytest.raises(ValueError, match="under-resolves"):
+                pulse_covariance(1.0, omega_t, 100 * cycles - 1)
 
     @pytest.mark.parametrize("kappa,n_steps,message", [
         (1.0, 500, "n_steps=500 under-resolves the Larmor precession; "
@@ -152,14 +160,13 @@ class TestDemodulation:
     @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), cycles=st.integers(1, 650))
     @settings(max_examples=60, deadline=None)
     def test_whole_cycles_equal_the_engine(self, kappa, cycles):
-        # 100 steps per cycle, or one more where omega_T / 2 pi rounds above
-        # the whole count.  The phases carry rounding up to eps omega_T, which
+        # 100 steps per cycle.  The phases carry rounding up to eps omega_T, which
         # the n_steps-term sums accumulate as a random walk: a relative error
         # of about 2 eps omega_T / sqrt(n_steps) = 0.13 eps sqrt(n_steps),
         # on entries of size up to 1 + kappa^2.  The bound allows 8 times that
         # (every count from 1 to 650 at kappa = 5 stays under 0.27 of it).
         omega_t = 2.0 * np.pi * cycles
-        n_steps = math.ceil(100 * (omega_t / (2.0 * np.pi)))
+        n_steps = 100 * cycles
         got = pulse_covariance(kappa, omega_t, n_steps)
         bound = np.finfo(float).eps * np.sqrt(n_steps) * (1.0 + kappa**2)
         np.testing.assert_allclose(got, engine_pulse_covariance(kappa), rtol=0, atol=bound)
