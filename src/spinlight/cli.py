@@ -170,8 +170,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if config.out is None:
         raise UsageError("sweep requires --out for the CSV")
     rows = experiment.density_sweep(config.theta_grid, config.beta,
-                                    config.cycles, config.seed,
-                                    parallel=config.parallel)
+                                    config.cycles, config.seed)
     experiment.write_sweep_csv(rows, config.out)
     print(f"wrote {len(rows)} sweep rows to {config.out}")
     return 0

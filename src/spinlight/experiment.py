@@ -18,8 +18,8 @@ Cycles are simulated in the seeded chunks of spinlight.chunks, so any
 degree of parallelism produces byte-identical results.  The statistics need
 only the 4x4 Gram matrix of the outcomes, summed in chunk order, so
 stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
-density_sweep writes no cycles, so it draws each chunk's Gram matrix from its
-Wishart law (_gram_draws) in place of the cycles.
+density_sweep writes no cycles, so it draws each point's Gram matrix of all
+its cycles at once from its Wishart law (_gram_draws) in place of the cycles.
 """
 
 from __future__ import annotations
@@ -134,18 +134,20 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
 
-def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
+def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int,
                 electronics_std: float):
-    """(start, None, gram) of each chunk in chunk order, where gram is drawn
-    from the law of _cycles' rows.T @ rows without drawing the rows.
+    """The one chunk (0, None, gram) of all n_cycles rows, gram drawn from
+    the law of _cycles' summed rows.T @ rows without drawing the rows.
 
     The rows are iid N(0, Sigma): in (a1, b1, a2, b2) order Sigma has
     diagonal h = (1 + kappa2)/2 + e^2 and cov(a1, a2) = cov(b1, b2) = g =
-    kappa2 beta / 2, so a chunk's Gram matrix is Wishart(Sigma, count).  The
-    Bartlett decomposition draws it as L A A^T L^T: L is Sigma's Cholesky
-    factor, A lower triangular with A_ii = sqrt(chi2(count - i)) and N(0, 1)
-    below the diagonal.  A chunk of fewer than 4 cycles, whose Wishart is
-    singular, is drawn as (start, rows, gram) by the cycle kernel.
+    kappa2 beta / 2, so the Gram matrix is Wishart(Sigma, n_cycles), the law
+    of any sum of its chunks' Gram matrices.  The Bartlett decomposition draws
+    it as L A A^T L^T: L is Sigma's Cholesky factor, A lower triangular with
+    A_ii = sqrt(chi2(n_cycles - i)) and N(0, 1) below the diagonal.  Fewer
+    than 4 cycles, whose Wishart is singular, are drawn as rows by the cycle
+    kernel.  The chunk is chunk_map's chunk 0, seeded SeedSequence(seed,
+    spawn_key=(0,)), and it costs the same at any n_cycles.
     """
     rows_chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
     h, g = (1.0 + kappa2) / 2.0 + electronics_std**2, kappa2 * beta / 2.0
@@ -164,7 +166,7 @@ def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: 
             half = factor @ bartlett
             return start, None, half @ half.T
 
-    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
+    return chunk_map(chunk, n_cycles, n_cycles, seed)
 
 
 def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
@@ -379,8 +381,7 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
 
 
 def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
-                  seed: int, parallel: int = 1,
-                  electronics_std: float = 0.0) -> list[SweepRow]:
+                  seed: int, electronics_std: float = 0.0) -> list[SweepRow]:
     """Scan atomic density via the Faraday angle; kappa^2 = 0.10 theta per point.
 
     Emits shot-subtracted noise columns plus the decoherence-model and ideal
@@ -392,12 +393,16 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     if any(theta < 0 for theta in theta_list):
         raise ValueError("theta values must be >= 0")
     row_seeds = np.random.SeedSequence(seed).generate_state(len(theta_list), np.uint64)
-    floor = 1.0 + 2.0 * electronics_std**2
+    with np.errstate(over="ignore"):  # a Python float square raises OverflowError
+        floor = float(1.0 + 2.0 * np.float64(electronics_std) ** 2)
+    if floor == np.inf:  # before _gram_draws squares electronics_std
+        raise ValueError(f"the electronics floor at electronics_std = "
+                         f"{_fmt(electronics_std)} is not finite")
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        stats = _reduce(_gram_draws(kappa2, beta, n_cycles, int(row_seed), parallel,
-                                    electronics_std), kappa2, beta, n_cycles)
+        stats = _reduce(_gram_draws(kappa2, beta, n_cycles, int(row_seed), electronics_std),
+                        kappa2, beta, n_cycles)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(

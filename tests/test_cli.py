@@ -12,6 +12,7 @@ import pytest
 
 import spinlight.experiment
 from spinlight.cli import RunConfig, build_parser, load_config, main, read_config, write_config
+from spinlight.experiment import CYCLE_CHUNK
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -243,14 +244,38 @@ class TestSweep:
         assert not path.exists()
 
     def test_csv_bytes_pinned(self, capsys, tmp_path):
-        # four chunks drawn as Gram matrices and a last chunk of 2 drawn as rows:
-        # a change to either stream is a deliberate edit of this digest
+        # one Gram matrix drawn per point, of all 16386 cycles: a change to
+        # that stream is a deliberate edit of this digest
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--cycles", "16386",
                              "--seed", "5", "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a6d18b7780a415de60a4adde5416e136e531fc32b9f33e1038063176d37a6b33")
+            "4bdb96c1983e6a594be0f56a73b768ab53efad46da9e61776572a114c933dcc5")
+
+    @pytest.mark.parametrize("cycles,digest", [
+        # one chunk drawn as a Gram matrix, and one drawn as rows: the bytes
+        # of every version that draws up to CYCLE_CHUNK cycles as one chunk
+        ("4096", "e2938df34d7a83dead42f6d462e8251461f69fd7f4a2e22e738dc16fd7aa8975"),
+        ("3", "3656b454e75ca1e27b20eb4bfe277e519e314a3cc5f1c7b6501cce119e1d2d78"),
+    ], ids=["4096", "3"])
+    def test_one_chunk_csv_bytes_pinned(self, capsys, tmp_path, cycles, digest):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--cycles", cycles,
+                             "--seed", "5", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_csv_equal_at_any_parallelism(self, capsys, tmp_path):
+        csvs = []
+        for workers in ("1", "2", "4"):
+            path = tmp_path / f"p{workers}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--beta", "0.65",
+                                 "--cycles", str(5 * CYCLE_CHUNK + 3), "--seed", "45",
+                                 "--parallel", workers, "--out", str(path))
+            assert code == 0
+            csvs.append(path.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_missing_out_is_usage_error(self, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlight.chunks
 import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
@@ -404,19 +405,30 @@ class TestDensitySweep:
         rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44, electronics_std=0.1)
         assert all(np.isfinite(astuple(row)).all() for row in rows)
 
-    def test_rows_equal_at_any_parallelism(self):
-        grid = (2.0, 4.0, 6.0)
-        n_cycles = 5 * CYCLE_CHUNK + 3
-        runs = [repr(density_sweep(grid, 0.65, n_cycles, seed=45, parallel=workers))
-                for workers in (1, 2, 4)]
-        assert runs[0] == runs[1] == runs[2]
+    @pytest.mark.parametrize("n_cycles", [5 * CYCLE_CHUNK + 3, 10**12])
+    def test_one_gram_draw_per_point(self, monkeypatch, n_cycles):
+        # one chunk of all the cycles per point, so the cost is flat in n_cycles
+        calls = []
+
+        def counted(chunk, *args):
+            def counting(rng, start, count):
+                calls.append((start, count))
+                assert (start, count) == (0, n_cycles)  # fail fast, not after 2e8 chunks
+                return chunk(rng, start, count)
+            return spinlight.chunks.chunk_map(counting, *args)
+
+        monkeypatch.setattr(spinlight.experiment, "chunk_map", counted)
+        density_sweep([2.0, 4.0, 6.0], 0.65, n_cycles, seed=45)
+        assert calls == [(0, n_cycles)] * 3
 
 
 class TestSamplingLaws:
     """Both producers of Gram matrices against the exact laws of
     linear_oracle.cycle_stat_laws, in mean and variance, over many seeds.
-    8 cycles, one chunk, show the laws' degrees of freedom; CYCLE_CHUNK + 4
-    leave a last chunk of 4, whose last Bartlett diagonal is sqrt(chi2(1))."""
+    8 cycles show the laws' degrees of freedom; CYCLE_CHUNK + 4 span two of
+    the cycle kernel's chunks.  The sweep's one Wishart draw also runs at 4
+    cycles, the fewest it draws, whose last Bartlett diagonal is
+    sqrt(chi2(1)), and at 10**12, which only it can reach."""
 
     CASES = ((0.65, 0.0), (1.0, 0.3), (0.0, 0.5))  # (beta, electronics_std)
     THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4
@@ -442,7 +454,8 @@ class TestSamplingLaws:
                     label = f"{name} at kappa2={kappa2}, beta={beta}, e={e_std}"
                     self.assert_law(draws[:, i, j], laws[name], label)
 
-    @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200)])
+    @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200),
+                                                  (4, 2000), (10**12, 200)])
     def test_density_sweep(self, n_cycles, n_seeds):
         def stats_of(thetas, beta, e_std, n, seed):
             floor = 1.0 + 2.0 * e_std**2
@@ -491,6 +504,14 @@ class TestElectronicsFloor:
         elec = e_std * rng.standard_normal((count, 4))
         for i, name in enumerate(("a1", "b1", "a2", "b2")):
             assert np.array_equal(getattr(noisy, name), getattr(clean, name) + elec[:, i])
+
+    def test_overflowing_floor_refused(self):
+        # one ValueError line, not the OverflowError of a Python float's 1e200**2
+        with pytest.raises(ValueError, match="electronics floor .* is not finite"):
+            density_sweep([10.0], 1.0, 1000, 1, electronics_std=1e200)
+        # a finite floor under overflowing sums keeps the sums' refusal
+        with pytest.raises(ValueError, match="outcome sums at kappa2 = 1 are not finite"):
+            density_sweep([10.0], 1.0, 1000, 1, electronics_std=9e153)
 
     @pytest.mark.parametrize("e_std", [-0.4, float("nan")])
     def test_negative_or_nan_noise_refused(self, e_std):
