@@ -293,23 +293,23 @@ TIMEDOMAIN_REPORT = """\
 kappa2 = 1
 runs = 20000
 moment                timedomain        engine  status
-mean(x_l1)              0.003394      0.000000  PASS
-mean(x_l2)             -0.011562      0.000000  PASS
-mean(X_A1)              0.001725      0.000000  PASS
+mean(x_l1)              0.002379      0.000000  PASS
+mean(x_l2)              0.000153      0.000000  PASS
+mean(X_A1)              0.002356      0.000000  PASS
 mean(P_A1)              0.002317      0.000000  PASS
-mean(X_A2)             -0.000783      0.000000  PASS
+mean(X_A2)              0.000183      0.000000  PASS
 mean(P_A2)             -0.005394      0.000000  PASS
-var(x_l1)               1.005667      1.000000  PASS
-var(x_l2)               0.999564      1.000000  PASS
-cov(x_l1,x_l2)         -0.007772      0.000000  PASS
-var(X_A1)               0.990671      1.000000  PASS
+var(x_l1)               1.007237      1.000000  PASS
+var(x_l2)               0.991395      1.000000  PASS
+cov(x_l1,x_l2)         -0.008417      0.000000  PASS
+var(X_A1)               1.002449      1.000000  PASS
 var(P_A1)               0.505690      0.500000  PASS
-var(X_A2)               1.006133      1.000000  PASS
+var(X_A2)               1.006306      1.000000  PASS
 var(P_A2)               0.504624      0.500000  PASS
-cov(x_l1,P_A1)          0.505414      0.500000  PASS
-cov(x_l2,P_A2)          0.499386      0.500000  PASS
-cov(X_A1,P_A1)          0.000658      0.000000  PASS
-cov(x_l1,X_A1)          0.002365      0.000000  PASS
+cov(x_l1,P_A1)          0.501940      0.500000  PASS
+cov(x_l2,P_A2)          0.500208      0.500000  PASS
+cov(X_A1,P_A1)          0.003674      0.000000  PASS
+cov(x_l1,X_A1)         -0.004402      0.000000  PASS
 spin-sum drift = 0.000e+00 (PASS)
 overall = PASS
 """

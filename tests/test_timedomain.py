@@ -76,17 +76,20 @@ class TestSimulatePulse:
             with pytest.raises(ValueError, match="under-resolves"):
                 pulse_covariance(1.0, omega_t, 100 * cycles - 1)
 
-    @pytest.mark.parametrize("kappa,n_steps,message", [
+    @pytest.mark.parametrize("kappa,n_steps,message,omega_t", [
         (1.0, 500, "n_steps=500 under-resolves the Larmor precession; "
-                   "need >= 100 steps per cycle (20.0 cycles)"),
-        (1.0, N_STEPS - 1, "n_steps=1999 under-resolves"),
-        (-1.0, N_STEPS, "kappa must be >= 0"),
-        (-1.0, 500, "kappa must be >= 0")])
-    def test_every_kernel_refuses_alike(self, kappa, n_steps, message):
+                   "need >= 100 steps per cycle (20.0 cycles)", OMEGA_T),
+        (1.0, N_STEPS - 1, "n_steps=1999 under-resolves", OMEGA_T),
+        (-1.0, N_STEPS, "kappa must be >= 0", OMEGA_T),
+        (-1.0, 500, "kappa must be >= 0", OMEGA_T),
+        # no sin weight, then no weight at all: the Gram matrix has no Cholesky factor
+        (1.0, N_STEPS, "omega_T=0.0 leaves a lock-in channel with no weight", 0.0),
+        (1.0, N_STEPS, "omega_T=nan leaves a lock-in channel with no weight", np.nan)])
+    def test_every_kernel_refuses_alike(self, kappa, n_steps, message, omega_t):
         kernels = (
-            lambda: simulate_pulse(kappa, OMEGA_T, n_steps, (0, 0, 0, 0), np.random.default_rng(0)),
-            lambda: pulse_ensemble(kappa, OMEGA_T, n_steps, 10, seed=0),
-            lambda: pulse_covariance(kappa, OMEGA_T, n_steps))
+            lambda: simulate_pulse(kappa, omega_t, n_steps, (0, 0, 0, 0), np.random.default_rng(0)),
+            lambda: pulse_ensemble(kappa, omega_t, n_steps, 10, seed=0),
+            lambda: pulse_covariance(kappa, omega_t, n_steps))
         for kernel in kernels:
             with pytest.raises(ValueError, match="^" + re.escape(message)):
                 kernel()
@@ -147,10 +150,10 @@ class TestDemodulation:
 
     def test_closed_form_matches_monte_carlo_off_resonance(self):
         # the convergence check above leans on the exact covariance; pin it to a
-        # brute-force ensemble at a non-integer cycle count
+        # brute-force per-step ensemble at a non-integer cycle count
         omega_t = 2.0 * np.pi * 20.43
         cov = pulse_covariance(1.0, omega_t, 2100)
-        ens = pulse_ensemble(1.0, omega_t, 2100, 40_000, seed=9)
+        ens = reference_ensemble(1.0, omega_t, 2100, 40_000, 9, per_step_projections)
         se = cov[0, 0] * np.sqrt(2.0 / 40_000)
         assert np.var(ens[:, 0], ddof=1) == pytest.approx(cov[0, 0], abs=4 * se)
         assert np.var(ens[:, 1], ddof=1) == pytest.approx(cov[1, 1], abs=4 * se)
@@ -171,6 +174,18 @@ class TestDemodulation:
         bound = np.finfo(float).eps * np.sqrt(n_steps) * (1.0 + kappa**2)
         np.testing.assert_allclose(got, engine_pulse_covariance(kappa), rtol=0, atol=bound)
 
+    @pytest.mark.parametrize("cycles,n_steps", [(1.25, 125), (20.0, N_STEPS)])
+    def test_ensemble_follows_the_exact_law(self, cycles, n_steps):
+        # 10^6 runs, every mean and covariance in standard errors; at 1.25 cycles
+        # cov(x_l1, x_l2) = 0.191 is ~190 of them, so a wrong cross term l21 fails
+        ens = pulse_ensemble(1.0, 2.0 * np.pi * cycles, n_steps, 10**6, seed=41)
+        cov = pulse_covariance(1.0, 2.0 * np.pi * cycles, n_steps)
+        n, var = len(ens), np.diag(cov)
+        z_cov = (np.cov(ens.T) - cov) / np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
+        z_mean = ens.mean(axis=0) / np.sqrt(var / n)
+        # 27 statistics: chance alone exceeds 4.5 about 2e-4 of the time
+        assert max(np.abs(z_cov).max(), np.abs(z_mean).max()) < 4.5
+
     def test_single_run_path_variance(self):
         # full-trace integrator (not the closed-over ensemble) at kappa = 1
         rng = np.random.default_rng(31)
@@ -183,9 +198,28 @@ class TestDemodulation:
         assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=4 * se)
 
 
-def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed):
-    """pulse_ensemble as it was before the row blocks: each 256-run chunk
-    draws its whole (m, n_steps) xi and zeta arrays."""
+def per_step_projections(rng, m, c, s, sums):
+    """The brute-force noise: whole (m, n_steps) xi and zeta arrays, projected."""
+    xi = rng.standard_normal((m, len(c)))
+    zeta = rng.standard_normal((m, len(c)))
+    return xi @ c, xi @ s, zeta @ c, zeta @ s
+
+
+def gram_law_projections(rng, m, c, s, sums):
+    """pulse_ensemble's draw: z of shape (4, m) through the Cholesky factor of
+    the Gram matrix sums = (sum_cc, sum_ss, sum_cs), every array a fresh one."""
+    sum_cc, sum_ss, sum_cs = sums
+    l11 = np.sqrt(sum_cc)
+    l21 = sum_cs / l11
+    l22 = np.sqrt(max(sum_ss - l21**2, 0.0))
+    z = rng.standard_normal((4, m))
+    return l11 * z[0], l21 * z[0] + l22 * z[1], l11 * z[2], l21 * z[2] + l22 * z[3]
+
+
+def reference_ensemble(kappa, omega_T, n_steps, n_runs, seed, projections):
+    """pulse_ensemble's rows, each 256-run chunk drawing its atoms and then
+    projections(rng, m, c, s, (sum_cc, sum_ss, sum_cs)): xi @ c, xi @ s,
+    zeta @ c, zeta @ s."""
     dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
     sum_cc, sum_ss, sum_cs = norm_c / dt, norm_s / dt, float(np.sum(c * s))
     out = np.empty((n_runs, 6))
@@ -195,15 +229,14 @@ def full_array_ensemble(kappa, omega_T, n_steps, n_runs, seed):
         m = min(256, n_runs - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))
-        xi = rng.standard_normal((m, n_steps))
-        zeta = rng.standard_normal((m, n_steps))
+        xi_c, xi_s, zeta_c, zeta_s = projections(rng, m, c, s, (sum_cc, sum_ss, sum_cs))
         atom_c = atomic_scale * (atoms[:, 1] * sum_cc + atoms[:, 3] * sum_cs)
         atom_s = atomic_scale * (atoms[:, 1] * sum_cs + atoms[:, 3] * sum_ss)
-        out[start:start + m, 0] = (np.sqrt(0.5 * dt) * (xi @ c) + atom_c) / np.sqrt(norm_c)
-        out[start:start + m, 1] = (np.sqrt(0.5 * dt) * (xi @ s) + atom_s) / np.sqrt(norm_s)
-        out[start:start + m, 2] = atoms[:, 0] + drive_scale * (zeta @ c)
+        out[start:start + m, 0] = (np.sqrt(0.5 * dt) * xi_c + atom_c) / np.sqrt(norm_c)
+        out[start:start + m, 1] = (np.sqrt(0.5 * dt) * xi_s + atom_s) / np.sqrt(norm_s)
+        out[start:start + m, 2] = atoms[:, 0] + drive_scale * zeta_c
         out[start:start + m, 3] = atoms[:, 1]
-        out[start:start + m, 4] = atoms[:, 2] - drive_scale * (zeta @ s)
+        out[start:start + m, 4] = atoms[:, 2] - drive_scale * zeta_s
         out[start:start + m, 5] = atoms[:, 3]
     return out
 
@@ -264,12 +297,13 @@ def traced_peak_steps(fn, n_steps):
 
 
 class TestHeapPeak:
-    # what the kernels need is 10 step arrays: c and s, plus the 8-row noise
-    # block, or plus xi, zeta, the two (n_steps, 2) traces and two scratch arrays
+    # the ensemble holds no noise of step length, only its set-up's grid (5 step
+    # arrays at the peak); the pulse needs 10: c and s, xi, zeta, the two
+    # (n_steps, 2) traces and two scratch arrays
     def test_ensemble_reuses_one_noise_block(self):
         peak = traced_peak_steps(
             lambda: pulse_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 64, seed=1), 65_000)
-        assert peak <= 11, peak
+        assert peak <= 6, peak
 
     def test_pulse_reuses_its_temporaries(self):
         peak = traced_peak_steps(
@@ -285,18 +319,12 @@ class TestEnsembleDeterminism:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("omega_t,n_steps,n_runs", [
-        (OMEGA_T, N_STEPS, 1), (OMEGA_T, N_STEPS, 3), (OMEGA_T, N_STEPS, 5),
-        (OMEGA_T, N_STEPS, 64), (OMEGA_T, N_STEPS, 257), (DEFAULT_OMEGA_T, 65_000, 64)])
-    def test_row_blocks_equal_full_arrays(self, omega_t, n_steps, n_runs):
-        got = pulse_ensemble(1.0, omega_t, n_steps, n_runs, seed=23)
-        assert np.array_equal(got, full_array_ensemble(1.0, omega_t, n_steps, n_runs, seed=23))
-
-    def test_partial_block_within_round_off(self):
-        # BLAS may group the rows of one 12-row product differently from those
-        # of an 8-row and a 4-row block, which changes the last bits of a sum
-        got = pulse_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 12, seed=29)
-        want = full_array_ensemble(1.0, DEFAULT_OMEGA_T, 65_000, 12, seed=29)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        (OMEGA_T, N_STEPS, 1), (OMEGA_T, N_STEPS, 257), (2.0 * np.pi * 1.25, 125, 600),
+        (DEFAULT_OMEGA_T, 65_000, 64)])
+    def test_matches_fresh_array_reference_bitwise(self, omega_t, n_steps, n_runs):
+        got = pulse_ensemble(1.3, omega_t, n_steps, n_runs, seed=23)
+        want = reference_ensemble(1.3, omega_t, n_steps, n_runs, 23, gram_law_projections)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraceDump:
