@@ -19,7 +19,7 @@ degree of parallelism produces byte-identical results.  The statistics need
 only the 4x4 Gram matrix of the outcomes, summed in chunk order, so
 stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
 density_sweep writes no cycles, so it draws each point's Gram matrix of all
-its cycles at once from its Wishart law (_gram_draws) in place of the cycles.
+its cycles at once from its Wishart law (_gram_draw) in place of the cycles.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: flo
         raise ValueError("beta must lie in [0, 1]")
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
+    if n_cycles >= 2**63:  # numpy draws and counts in int64
+        raise ValueError("n_cycles must be below 2**63")
     if not electronics_std >= 0.0:  # e < 0 adds no noise to the cycles but e^2 to Sigma
         raise ValueError("electronics_std must be >= 0")
     kappa, decay = np.sqrt(kappa2), np.sqrt(1.0 - beta**2)
@@ -134,10 +136,10 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
 
-def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int,
-                electronics_std: float):
-    """The one chunk (0, None, gram) of all n_cycles rows, gram drawn from
-    the law of _cycles' summed rows.T @ rows without drawing the rows.
+def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int,
+              electronics_std: float) -> np.ndarray:
+    """The Gram matrix of all n_cycles rows, drawn from the law of _cycles'
+    summed rows.T @ rows without drawing the rows.
 
     The rows are iid N(0, Sigma): in (a1, b1, a2, b2) order Sigma has
     diagonal h = (1 + kappa2)/2 + e^2 and cov(a1, a2) = cov(b1, b2) = g =
@@ -146,27 +148,31 @@ def _gram_draws(kappa2: float, beta: float, n_cycles: int, seed: int,
     it as L A A^T L^T: L is Sigma's Cholesky factor, A lower triangular with
     A_ii = sqrt(chi2(n_cycles - i)) and N(0, 1) below the diagonal.  Fewer
     than 4 cycles, whose Wishart is singular, are drawn as rows by the cycle
-    kernel.  The chunk is chunk_map's chunk 0, seeded SeedSequence(seed,
-    spawn_key=(0,)), and it costs the same at any n_cycles.
+    kernel.  The draw is seeded SeedSequence(seed, spawn_key=(0,)), the
+    stream of chunk_map's chunk 0, and it costs the same at any n_cycles.
     """
     rows_chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    if n_cycles < 4:
+        return rows_chunk(rng, 0, n_cycles)[2]
     h, g = (1.0 + kappa2) / 2.0 + electronics_std**2, kappa2 * beta / 2.0
     # each channel's 2x2 factor in closed form: g * g overflows where g * (g / h) does not
     l11 = np.sqrt(h)
     l21, l22 = g / l11, np.sqrt(h - g * (g / h))
     factor = np.array([[l11, 0, 0, 0], [0, l11, 0, 0], [l21, 0, l22, 0], [0, l21, 0, l22]])
     lower, dof = np.tril_indices(4, -1), np.arange(4)
+    bartlett = np.diag(np.sqrt(rng.chisquare(n_cycles - dof)))
+    bartlett[lower] = rng.standard_normal(6)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the cycle kernel
+        half = factor @ bartlett
+        return half @ half.T
 
-    def chunk(rng: np.random.Generator, start: int, count: int):
-        if count < 4:
-            return rows_chunk(rng, start, count)
-        bartlett = np.diag(np.sqrt(rng.chisquare(count - dof)))
-        bartlett[lower] = rng.standard_normal(6)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the cycle kernel
-            half = factor @ bartlett
-            return start, None, half @ half.T
 
-    return chunk_map(chunk, n_cycles, n_cycles, seed)
+def _finite_sums(gram: np.ndarray, kappa2: float) -> np.ndarray:
+    """gram, refused where an outcome sum in it is not finite."""
+    if not np.isfinite(gram).all():
+        raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
+    return gram
 
 
 def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
@@ -255,23 +261,14 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     statistics are not finite; for sums that overflow in the first chunk,
     before `out` is opened.
     """
-    return _reduce(_cycles(kappa2, beta, n_cycles, seed, parallel, electronics_std),
-                   kappa2, beta, n_cycles, out)
-
-
-def _reduce(chunks, kappa2: float, beta: float, n_cycles: int,
-            out: str | None = None) -> CycleStats:
-    """CycleStats of the (start, rows, gram) chunks of either producer, their
-    Gram matrices summed in chunk order; `out` takes the rows as they arrive."""
     gram = 0
 
     def blocks():
         nonlocal gram
-        for start, rows, chunk_gram in chunks:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                gram = gram + chunk_gram
-            if not np.isfinite(gram).all():
-                raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
+        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel,
+                                               electronics_std):
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_sums
+                gram = _finite_sums(gram + chunk_gram, kappa2)
             yield start, rows
 
     if out is None:
@@ -395,14 +392,14 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     row_seeds = np.random.SeedSequence(seed).generate_state(len(theta_list), np.uint64)
     with np.errstate(over="ignore"):  # a Python float square raises OverflowError
         floor = float(1.0 + 2.0 * np.float64(electronics_std) ** 2)
-    if floor == np.inf:  # before _gram_draws squares electronics_std
+    if floor == np.inf:  # before _gram_draw squares electronics_std
         raise ValueError(f"the electronics floor at electronics_std = "
                          f"{_fmt(electronics_std)} is not finite")
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        stats = _reduce(_gram_draws(kappa2, beta, n_cycles, int(row_seed), electronics_std),
-                        kappa2, beta, n_cycles)
+        gram = _gram_draw(kappa2, beta, n_cycles, int(row_seed), electronics_std)
+        stats = _stats(_finite_sums(gram, kappa2), n_cycles, kappa2, beta)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(

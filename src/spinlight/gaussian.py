@@ -150,8 +150,12 @@ def apply_symplectic(state: GaussianState, smat: np.ndarray,
     omega = symplectic_form(k)
     # tolerance scales with ||S||^2: that is the size of the rounding noise
     # in S Omega S^T for strongly squeezing maps
-    scale = max(1.0, float(np.abs(smat).max()) ** 2)
-    if not np.allclose(smat @ omega @ smat.T, omega, atol=1e-10 * scale, rtol=0.0):
+    size = np.abs(smat).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        scale, error = size**2, np.abs(smat @ omega @ smat.T - omega).max()
+    if not np.isfinite([scale, error]).all():
+        raise ValueError(f"matrix entries up to {size:.3g} overflow the symplectic check")
+    if not error <= 1e-10 * max(1.0, scale):
         raise ValueError("matrix is not symplectic")
 
     full = np.eye(2 * state.n_modes)
@@ -248,7 +252,8 @@ def two_mode_squeeze(state: GaussianState, mode_a: ModeRef, mode_b: ModeRef,
     The conjugate combinations (P_a + P_b) and (X_a - X_b) stretch by e^r,
     so the map is symplectic and the output is pure for pure input.
     """
-    ch, sh = np.cosh(r), np.sinh(r)
+    with np.errstate(over="ignore"):  # apply_symplectic refuses entries that overflow
+        ch, sh = np.cosh(r), np.sinh(r)
     smat = np.array([
         [ch, 0.0, -sh, 0.0],
         [0.0, ch, 0.0, sh],
@@ -271,14 +276,16 @@ def coherent_fidelity(state: GaussianState, mode: ModeRef, target_x, target_p):
 
     F = det(Sigma + I/2)^(-1/2) * exp(-delta^T (Sigma + I/2)^(-1) delta / 2);
     equals 1 iff the mode is exactly that coherent state.  A float, or an
-    array over the batch axes of the mean.
+    array over the batch axes of the mean.  Every physical Sigma gives
+    det(Sigma + I/2) >= 1, so F <= 1; a det below 1 beyond round-off (1e-9)
+    raises InvariantViolation.
     """
     sigma = state.mode_cov(mode) + VACUUM_VAR * np.eye(2)
     mx, mp = state.mode_mean(mode)
     delta = np.stack(np.broadcast_arrays(mx - target_x, mp - target_p), axis=-1)
     det = float(np.linalg.det(sigma))
-    if det <= 0:
-        raise InvariantViolation("unphysical reduced covariance")
+    if det < 1.0 - 1e-9:
+        raise InvariantViolation(f"unphysical reduced covariance: det(Sigma + I/2) = {det:.3g} < 1")
     quad = np.sum(delta * (delta @ np.linalg.inv(sigma)), axis=-1)
     return np.exp(-0.5 * quad) / np.sqrt(det)
 

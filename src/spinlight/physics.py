@@ -135,7 +135,10 @@ def kappa_from_params(p: PhysicalParams, j_x: float | None = None) -> float:
 
 
 def calibrate(p: PhysicalParams, theta_deg: float | None = None) -> Calibration:
-    """Derive the operating point; theta_deg (magnitude) overrides n_atoms."""
+    """Derive the operating point; theta_deg (magnitude) overrides n_atoms.
+
+    Raises ValueError where theta_deg, j_x, s_x, kappa or kappa^2 is not finite.
+    """
     a = coupling_a(p)
     if theta_deg is None:
         j_x = macroscopic_spin(p.n_atoms)
@@ -144,13 +147,19 @@ def calibrate(p: PhysicalParams, theta_deg: float | None = None) -> Calibration:
         if theta_deg < 0:
             raise ValueError("theta_deg must be >= 0")
         j_x = abs(j_x_from_theta(theta_deg, p))
-    return Calibration(
+    cal = Calibration(
         a_coupling=a,
         j_x=j_x,
         s_x=stokes_sx(p.power_mW, p.wavelength_nm),
         kappa=kappa_from_params(p, j_x),
         theta_deg=theta_deg,
     )
+    # kappa * kappa, not kappa**2: a Python float power raises OverflowError
+    for name, value in (("theta_deg", theta_deg), ("j_x", j_x), ("s_x", cal.s_x),
+                        ("kappa", cal.kappa), ("kappa2", cal.kappa * cal.kappa)):
+        if not math.isfinite(value):
+            raise ValueError(f"the operating point's {name} is not finite")
+    return cal
 
 
 def kappa2_theory(power_mW: float, pulse_ms: float, theta_deg: float,

@@ -70,6 +70,18 @@ class TestCalibrate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--theta-deg", "1e308"),  # printed j_x = inf and ratio = inf
+        ("calibrate", "--power-mw", "1e308"),  # printed s_x = inf
+        ("calibrate", "--n-atoms", "1e300"),  # printed kappa2_first_principles = inf
+        ("calibrate", "--detuning-mhz", "1e-300"),  # kappa**2 raised OverflowError
+        ("protocol", "--protocol", "swap", "--theta-deg", "1e308")])  # numpy warned
+    def test_non_finite_operating_point_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: the operating point's \w+ is not finite\n", err)
+
 
 class TestRun:
     def test_summary_and_csv(self, capsys, tmp_path):
@@ -166,6 +178,19 @@ class TestRun:
         assert code == 0
         assert parse_kv(out)["entangled"] == "undetermined"
         assert "atomic_var" not in parse_kv(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--theta-grid", "2", "--out", "sweep.csv"),  # OverflowError in rng.chisquare
+        ("run", "--kappa2", "1")])  # ran without end
+    def test_cycle_count_beyond_int64_refused(self, tmp_path, argv):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "spinlight.cli", *argv,
+                               "--cycles", str(2**63)], cwd=tmp_path, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: n_cycles must be below 2**63\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("kappa2", ["1e16", "1e306"])
     def test_cond_var_without_a_correct_digit_refused(self, kappa2):
@@ -389,6 +414,19 @@ class TestProtocolCommand:
                                "--cycles", "100", "--seed", "4")
         assert code == 0
         assert float(parse_kv(out)["mean_fidelity"]) > 0.5
+
+    @pytest.mark.parametrize("squeeze_r,code,message", [
+        ("20", 3, "internal invariant violation: unphysical reduced covariance"),  # F = 2
+        ("25", 3, "internal invariant violation: unphysical reduced covariance"),
+        ("400", 1, "error: matrix entries up to .* overflow"),  # raised OverflowError
+        ("1000", 1, "error: matrix entries up to .* overflow")],  # numpy warned
+        ids=["20", "25", "400", "1000"])
+    def test_squeezing_beyond_double_precision_refused(self, capsys, squeeze_r, code, message):
+        got, out, err = run_cli(capsys, "protocol", "--protocol", "memory", "--kappa2", "1",
+                                "--squeeze-r", squeeze_r, "--cycles", "10")
+        assert got == code
+        assert out == ""
+        assert re.fullmatch(message + r"[^\n]*\n", err)
 
     def test_unknown_protocol(self, capsys):
         code, _, err = run_cli(capsys, "protocol", "--protocol", "warp")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinlight.chunks
 import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
@@ -393,7 +392,7 @@ class TestDensitySweep:
 
     def test_negative_angle_refused_before_simulating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spinlight.experiment, "_gram_draws",
+        monkeypatch.setattr(spinlight.experiment, "_gram_draw",
                             lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError, match="theta values must be >= 0"):
             density_sweep([2.0, -1.0], 0.65, 100, seed=0)
@@ -407,28 +406,31 @@ class TestDensitySweep:
 
     @pytest.mark.parametrize("n_cycles", [5 * CYCLE_CHUNK + 3, 10**12])
     def test_one_gram_draw_per_point(self, monkeypatch, n_cycles):
-        # one chunk of all the cycles per point, so the cost is flat in n_cycles
+        # one draw of all the cycles per point, so the cost is flat in n_cycles
         calls = []
+        draw = spinlight.experiment._gram_draw
 
-        def counted(chunk, *args):
-            def counting(rng, start, count):
-                calls.append((start, count))
-                assert (start, count) == (0, n_cycles)  # fail fast, not after 2e8 chunks
-                return chunk(rng, start, count)
-            return spinlight.chunks.chunk_map(counting, *args)
+        def counted(*args):
+            calls.append(args[2])
+            return draw(*args)
 
-        monkeypatch.setattr(spinlight.experiment, "chunk_map", counted)
+        def no_chunks(*args):
+            raise AssertionError("density_sweep reached chunk_map")
+
+        monkeypatch.setattr(spinlight.experiment, "_gram_draw", counted)
+        monkeypatch.setattr(spinlight.experiment, "chunk_map", no_chunks)
         density_sweep([2.0, 4.0, 6.0], 0.65, n_cycles, seed=45)
-        assert calls == [(0, n_cycles)] * 3
+        assert calls == [n_cycles] * 3
 
 
 class TestSamplingLaws:
-    """Both producers of Gram matrices against the exact laws of
-    linear_oracle.cycle_stat_laws, in mean and variance, over many seeds.
-    8 cycles show the laws' degrees of freedom; CYCLE_CHUNK + 4 span two of
-    the cycle kernel's chunks.  The sweep's one Wishart draw also runs at 4
-    cycles, the fewest it draws, whose last Bartlett diagonal is
-    sqrt(chi2(1)), and at 10**12, which only it can reach."""
+    """The streamed reduction of run's cycles and the sweep's one Wishart
+    draw per point against the exact laws of linear_oracle.cycle_stat_laws,
+    in mean and variance, over many seeds.  8 cycles show the laws' degrees
+    of freedom; CYCLE_CHUNK + 4 span two of the cycle kernel's chunks.  The
+    sweep's draw also runs at 4 cycles, the fewest it draws, whose last
+    Bartlett diagonal is sqrt(chi2(1)), and at 10**12, which only it can
+    reach."""
 
     CASES = ((0.65, 0.0), (1.0, 0.3), (0.0, 0.5))  # (beta, electronics_std)
     THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4

@@ -272,6 +272,23 @@ class TestHelpers:
         fid = coherent_fidelity(displaced, 0, 0.0, 0.0)
         assert fid == pytest.approx(np.exp(-0.5), rel=1e-12)
 
+    def test_coherent_fidelity_refuses_sub_vacuum_noise(self):
+        # det(Sigma + I/2) = 0.36 gave F = 1/0.6 = 1.67
+        bad = GaussianState(("m0",), np.zeros(2), 0.1 * np.eye(2))
+        with pytest.raises(InvariantViolation, match="unphysical reduced covariance"):
+            coherent_fidelity(bad, 0, 0.0, 0.0)
+        # a vacuum a round-off below 1/2 still passes, at F = 1
+        near = GaussianState(("m0",), np.zeros(2), (0.5 - 1e-15) * np.eye(2))
+        assert coherent_fidelity(near, 0, 0.0, 0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size", [1e160, np.inf])
+    def test_apply_symplectic_refuses_matrices_it_cannot_check(self, size):
+        # diag(s, 1/s) is symplectic, but S Omega S^T overflows; 1e160 raised
+        # OverflowError and inf printed numpy warnings
+        smat = np.diag([size, 1.0 / size])
+        with pytest.raises(ValueError, match="overflow the symplectic check"):
+            apply_symplectic(vacuum_state(1), smat, [0])
+
     def test_validate_flags_unphysical_state(self):
         bad = GaussianState(("m0",), np.zeros(2), 0.1 * np.eye(2))
         with pytest.raises(InvariantViolation):

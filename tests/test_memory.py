@@ -17,8 +17,9 @@ pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="/proc/self/status is Linux only")
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-#: Allowed growth of the peak; the materialized data of the large runs below
-#: would alone take 64 MB (cycles) and 66 MB (pulse noise).
+#: Allowed growth of the peak; the cycles of the large runs below would alone
+#: take 64 MB if kept.  pulse_ensemble keeps no per-step noise: each run draws
+#: only its four noise projections, so its large run adds 60 rows of 6 values.
 MARGIN_MB = 16.0
 
 
