@@ -25,14 +25,11 @@ from .physics import (
     kappa2_theory,
 )
 from .experiment import (
-    CycleSet,
     CycleStats,
     SweepRow,
-    conditional_variance,
     density_sweep,
     duan_spin_check,
     entanglement_verdict,
-    run_cycles,
     stream_cycle_stats,
     theory_curves,
 )
@@ -59,8 +56,7 @@ __all__ = [
     "PhysicalParams", "Calibration", "calibrate", "coupling_a",
     "faraday_theta", "kappa2_theory", "kappa2_experimental", "css_variance",
     "beta_from_t2",
-    "CycleSet", "CycleStats", "SweepRow", "run_cycles",
-    "conditional_variance", "theory_curves",
+    "CycleStats", "SweepRow", "theory_curves",
     "stream_cycle_stats", "entanglement_verdict", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
     "diff_noise_growth",

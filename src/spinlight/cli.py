@@ -249,15 +249,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spinlight",
-                     description="Two-cell QND entanglement simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parsers = _field_parsers()
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config")
-        for key, parse in parsers.items():
-            p.add_argument("--" + key.replace("_", "-"), type=parse)
+    """One parser: the command, then the flags every command takes."""
+    epilog = "commands:\n" + "".join(f"  {name:<12}{help_text}\n"
+                                     for name, (help_text, _) in _COMMANDS.items())
+    parser = _Parser(prog="spinlight", description="Two-cell QND entanglement simulator",
+                     epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config")
+    for key, parse in _field_parsers().items():
+        parser.add_argument("--" + key.replace("_", "-"), type=parse)
     return parser
 
 

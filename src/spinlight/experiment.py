@@ -44,18 +44,6 @@ class CalibrationError(RuntimeError):
     with shot + projection noise, or the light carries no atomic information."""
 
 
-class CycleSet:
-    """Column store of cycle outcomes (canonical units), one array per channel."""
-
-    __slots__ = ("a1", "b1", "a2", "b2")
-
-    def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray):
-        self.a1, self.b1, self.a2, self.b2 = (np.asarray(v, float) for v in (a1, b1, a2, b2))
-
-    def __len__(self) -> int:
-        return self.a1.size
-
-
 @dataclass(frozen=True)
 class CycleStats:
     """Summary statistics and the entanglement verdict of a cycle ensemble."""
@@ -93,7 +81,7 @@ class SweepRow:
     theory_alpha_ideal: float
 
 
-def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: float):
+def _cycle_chunk(kappa2: float, beta: float, n_cycles: int):
     """The checked chunk kernel: chunk(rng, start, count) gives (start, rows,
     rows.T @ rows), where rows is the chunk's (count, 4) array of (a1, b1, a2,
     b2) outcomes."""
@@ -105,8 +93,6 @@ def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: flo
         raise ValueError("n_cycles must be positive")
     if n_cycles >= 2**63:  # numpy draws and counts in int64
         raise ValueError("n_cycles must be below 2**63")
-    if not electronics_std >= 0.0:  # e < 0 adds no noise to the cycles but e^2 to Sigma
-        raise ValueError("electronics_std must be >= 0")
     kappa, decay = np.sqrt(kappa2), np.sqrt(1.0 - beta**2)
 
     def chunk(rng: np.random.Generator, start: int, count: int):
@@ -120,8 +106,6 @@ def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: flo
             np.add(l1, np.multiply(kappa, p, out=first), out=first)
             np.add(np.multiply(beta, p, out=tmp), np.multiply(decay, w, out=second), out=second)
             np.add(l2, np.multiply(kappa, second, out=second), out=second)
-        if electronics_std > 0.0:  # drawn after z, so skipping them changes no cycle
-            cols += electronics_std * rng.standard_normal((count, 4)).T
         # the caller refuses sums that are not finite; errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
             return start, cols.T, cols @ cols.T
@@ -129,20 +113,18 @@ def _cycle_chunk(kappa2: float, beta: float, n_cycles: int, electronics_std: flo
     return chunk
 
 
-def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int,
-            electronics_std: float):
+def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int):
     """(start, rows, rows.T @ rows) of each chunk in chunk order."""
-    chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
+    chunk = _cycle_chunk(kappa2, beta, n_cycles)
     return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
 
 
-def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int,
-              electronics_std: float) -> np.ndarray:
+def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarray:
     """The Gram matrix of all n_cycles rows, drawn from the law of _cycles'
     summed rows.T @ rows without drawing the rows.
 
     The rows are iid N(0, Sigma): in (a1, b1, a2, b2) order Sigma has
-    diagonal h = (1 + kappa2)/2 + e^2 and cov(a1, a2) = cov(b1, b2) = g =
+    diagonal h = (1 + kappa2)/2 and cov(a1, a2) = cov(b1, b2) = g =
     kappa2 beta / 2, so the Gram matrix is Wishart(Sigma, n_cycles), the law
     of any sum of its chunks' Gram matrices.  The Bartlett decomposition draws
     it as L A A^T L^T: L is Sigma's Cholesky factor, A lower triangular with
@@ -151,11 +133,11 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int,
     kernel.  The draw is seeded SeedSequence(seed, spawn_key=(0,)), the
     stream of chunk_map's chunk 0, and it costs the same at any n_cycles.
     """
-    rows_chunk = _cycle_chunk(kappa2, beta, n_cycles, electronics_std)
+    rows_chunk = _cycle_chunk(kappa2, beta, n_cycles)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if n_cycles < 4:
         return rows_chunk(rng, 0, n_cycles)[2]
-    h, g = (1.0 + kappa2) / 2.0 + electronics_std**2, kappa2 * beta / 2.0
+    h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
     # each channel's 2x2 factor in closed form: g * g overflows where g * (g / h) does not
     l11 = np.sqrt(h)
     l21, l22 = g / l11, np.sqrt(h - g * (g / h))
@@ -173,28 +155,6 @@ def _finite_sums(gram: np.ndarray, kappa2: float) -> np.ndarray:
     if not np.isfinite(gram).all():
         raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
     return gram
-
-
-def run_cycles(kappa2: float, beta: float, n_cycles: int, seed: int,
-               parallel: int = 1, electronics_std: float = 0.0) -> CycleSet:
-    """Simulate the two-pulse measurement cycle n_cycles times.
-
-    Deterministic for a given seed at every parallelism level: each chunk
-    draws from its own generator.
-    """
-    data = np.concatenate([rows for _, rows, _ in _cycles(
-        kappa2, beta, n_cycles, seed, parallel, electronics_std)])
-    return CycleSet(*data.T)
-
-
-def conditional_variance(records: CycleSet, alpha: float) -> float:
-    """(1/(N-1)) sum((a2 - alpha a1)^2 + (b2 - alpha b1)^2)."""
-    n = len(records)
-    if n < 2:
-        raise ValueError("need at least two cycles")
-    res_a = records.a2 - alpha * records.a1
-    res_b = records.b2 - alpha * records.b1
-    return float((np.dot(res_a, res_a) + np.dot(res_b, res_b)) / (n - 1))
 
 
 def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
@@ -252,9 +212,9 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
 
 
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
-                       parallel: int = 1, electronics_std: float = 0.0,
-                       out: str | None = None) -> CycleStats:
-    """CycleStats of the cycles run_cycles(...) draws, without keeping them.
+                       parallel: int = 1, out: str | None = None) -> CycleStats:
+    """CycleStats of n_cycles measurement cycles, drawn in seeded chunks and
+    reduced as they arrive, so none is kept.
 
     With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
     CSV as they arrive.  Raises ValueError when the outcome sums or the
@@ -265,8 +225,7 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
 
     def blocks():
         nonlocal gram
-        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel,
-                                               electronics_std):
+        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel):
             with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_sums
                 gram = _finite_sums(gram + chunk_gram, kappa2)
             yield start, rows
@@ -378,34 +337,28 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
 
 
 def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
-                  seed: int, electronics_std: float = 0.0) -> list[SweepRow]:
+                  seed: int) -> list[SweepRow]:
     """Scan atomic density via the Faraday angle; kappa^2 = 0.10 theta per point.
 
     Emits shot-subtracted noise columns plus the decoherence-model and ideal
-    overlays.  Electronics noise, when enabled, is subtracted as the same
-    kappa = 0 floor that a measurement would see.
+    overlays.
     """
     if len(theta_list) == 0:
         raise ValueError("theta grid must be nonempty")
     if any(theta < 0 for theta in theta_list):
         raise ValueError("theta values must be >= 0")
     row_seeds = np.random.SeedSequence(seed).generate_state(len(theta_list), np.uint64)
-    with np.errstate(over="ignore"):  # a Python float square raises OverflowError
-        floor = float(1.0 + 2.0 * np.float64(electronics_std) ** 2)
-    if floor == np.inf:  # before _gram_draw squares electronics_std
-        raise ValueError(f"the electronics floor at electronics_std = "
-                         f"{_fmt(electronics_std)} is not finite")
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        gram = _gram_draw(kappa2, beta, n_cycles, int(row_seed), electronics_std)
+        gram = _gram_draw(kappa2, beta, n_cycles, int(row_seed))
         stats = _stats(_finite_sums(gram, kappa2), n_cycles, kappa2, beta)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(
             theta_deg=float(theta), kappa2=kappa2,
-            pn1=stats.var1 - floor, pn2=stats.var2 - floor,
-            cond_var_minus_shot=stats.cond_var - floor,
+            pn1=stats.var1 - 1.0, pn2=stats.var2 - 1.0,
+            cond_var_minus_shot=stats.cond_var - 1.0,
             alpha_star=stats.alpha_star,
             theory_cond=cond_model - 1.0, theory_alpha=alpha_model,
             theory_cond_ideal=cond_ideal - 1.0, theory_alpha_ideal=alpha_ideal))

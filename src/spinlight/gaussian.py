@@ -78,8 +78,13 @@ class GaussianState:
 
 
 def _new_state(labels: Sequence[str], mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    cov = 0.5 * (cov + cov.T)  # keep exactly symmetric after every update
-    return GaussianState(tuple(labels), np.asarray(mean, float), cov)
+    """The state every operation returns; refused where it is not finite."""
+    mean = np.asarray(mean, float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        cov = 0.5 * (cov + cov.T)  # keep exactly symmetric after every update
+    if not (np.isfinite(cov).all() and np.isfinite(mean).all()):
+        raise ValueError("the state's mean or covariance is not finite")
+    return GaussianState(tuple(labels), mean, cov)
 
 
 def _auto_labels(n: int, start: int = 0) -> list[str]:
@@ -161,8 +166,9 @@ def apply_symplectic(state: GaussianState, smat: np.ndarray,
     full = np.eye(2 * state.n_modes)
     full[np.ix_(idx, idx)] = smat
     # one (runs, 2n) x (2n, 2n) product beats gathering the touched columns
-    mean = state.mean @ full.T
-    cov = full @ state.cov @ full.T
+    with np.errstate(over="ignore", invalid="ignore"):  # _new_state refuses what overflows
+        mean = state.mean @ full.T
+        cov = full @ state.cov @ full.T
     return _new_state(state.labels, mean, cov)
 
 

@@ -1,11 +1,14 @@
 """Stochastic time-domain engine: rotating-frame spin dynamics under
 delta-correlated light noise, and lock-in demodulation of the Faraday signal.
 
-This module deliberately avoids the Gaussian covariance engine: it integrates
-the two-cell rotating-frame equations step by step (Euler-Maruyama) and
-extracts the canonical light operators by multiplying the simulated
-photocurrent with cos/sin of the Larmor phase.  It therefore serves as an
-independent cross-check of the symplectic engine.
+This module deliberately avoids the Gaussian covariance engine.  Only
+simulate_pulse integrates the two-cell rotating-frame equations step by step
+(Euler-Maruyama) and extracts the canonical light operators by multiplying
+the simulated photocurrent with cos/sin of the Larmor phase.  pulse_ensemble
+integrates nothing: it samples the exact law of the discretized pulse, whose
+covariance is pulse_covariance.  The tests close the chain: the Euler
+integrator equals pulse_covariance to round-off at any resolution, and
+pulse_covariance equals the symplectic engine's at whole cycle counts.
 
 Scaled units: atomic quadratures are canonical (vacuum variance 1/2); the
 per-step integrated Stokes noise has variance (S_x/2) dt, which reduces to

@@ -142,20 +142,19 @@ def conditioned_atom_cov(kappa: float) -> np.ndarray:
     return cov[np.ix_(atom, atom)] - np.outer(gain, cov[xl, atom])
 
 
-def cycle_stat_laws(kappa2: float, beta: float, electronics_std: float,
-                    n: int) -> dict[str, tuple[float, float]]:
+def cycle_stat_laws(kappa2: float, beta: float, n: int) -> dict[str, tuple[float, float]]:
     """Exact (mean, variance) of var1, cond_var and alpha_star over n cycles.
 
     Per channel and cycle, the outcomes (a1, a2) are N(0, [[h, g], [g, h]])
-    with h = (1 + kappa2)/2 + e^2 and g = kappa2 beta / 2, iid over the 2n
+    with h = (1 + kappa2)/2 and g = kappa2 beta / 2, iid over the 2n
     pooled pairs.  With r = h - g^2/h, the variance of a2 given a1:
         (n - 1) var1     ~ h chi2(2n),
         (n - 1) cond_var ~ r chi2(2n - 1)  (residuals of a fit through 0),
         alpha_star | a1  ~ N(g/h, r / sum a1^2), and E[1/chi2(2n)] = 1/(2n - 2).
-    At e = 0, 2 r is the model conditional variance
+    2 r is the model conditional variance
     1 + kappa2 (1 + (1 - beta^2) kappa2) / (1 + kappa2).
     """
-    h = (1.0 + kappa2) / 2.0 + electronics_std**2
+    h = (1.0 + kappa2) / 2.0
     g = kappa2 * beta / 2.0
     r = h - g * g / h
     m = n - 1
@@ -164,3 +163,14 @@ def cycle_stat_laws(kappa2: float, beta: float, electronics_std: float,
         "cond_var": (r * (2 * n - 1) / m, r**2 * 2 * (2 * n - 1) / m**2),
         "alpha_star": (g / h, r / (h * (2 * n - 2))),
     }
+
+
+def conditional_variance(rows: np.ndarray, alpha: float) -> float:
+    """The paper's estimator over (n, 4) cycle rows (a1, b1, a2, b2), summed
+    directly: (1/(n-1)) sum((a2 - alpha a1)^2 + (b2 - alpha b1)^2)."""
+    a1, b1, a2, b2 = np.asarray(rows, float).T
+    n = a1.size
+    if n < 2:
+        raise ValueError("need at least two cycles")
+    res_a, res_b = a2 - alpha * a1, b2 - alpha * b1
+    return float((np.dot(res_a, res_a) + np.dot(res_b, res_b)) / (n - 1))

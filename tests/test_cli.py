@@ -428,6 +428,17 @@ class TestProtocolCommand:
         assert out == ""
         assert re.fullmatch(message + r"[^\n]*\n", err)
 
+    # each printed numpy warnings, then mean_fidelity = nan, duan_sum_out = nan or (at
+    # 2.27e154, where the covariance's symmetrization overflows) 1.1e154, with exit 0
+    @pytest.mark.parametrize("protocol,kappa2", [("teleport", "1e300"), ("swap", "1e300"),
+                                                 ("swap", "2.27e154")])
+    def test_state_that_overflows_refused(self, capsys, protocol, kappa2):
+        code, out, err = run_cli(capsys, "protocol", "--protocol", protocol,
+                                 "--kappa2", kappa2, "--cycles", "10")
+        assert code == 1
+        assert out == ""
+        assert err == "error: the state's mean or covariance is not finite\n"
+
     def test_unknown_protocol(self, capsys):
         code, _, err = run_cli(capsys, "protocol", "--protocol", "warp")
         assert code == 1

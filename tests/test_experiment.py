@@ -11,12 +11,11 @@ import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
     CalibrationError,
-    conditional_variance,
+    _stats,
     density_sweep,
     duan_spin_check,
     engine_conditioned_duan,
     entanglement_verdict,
-    run_cycles,
     stream_cycle_stats,
     summary_text,
     theory_curves,
@@ -25,12 +24,28 @@ from spinlight.experiment import (
 from spinlight.output import CSV_BLOCK_ROWS, write_csv
 from spinlight.physics import kappa2_experimental
 
-from linear_oracle import cycle_stat_laws
+from linear_oracle import conditional_variance, cycle_stat_laws
 
 N = 100_000
 
 
-def reference_chunks(kappa2, beta, n, seed, electronics_std):
+def cycles(kappa2, beta, n, seed, parallel=1):
+    """The (n, 4) rows (a1, b1, a2, b2) that stream_cycle_stats reduces: the
+    chunks of experiment._cycles, concatenated."""
+    return np.concatenate([rows for _, rows, _ in spinlight.experiment._cycles(
+        kappa2, beta, n, seed, parallel)])
+
+
+def miscalibrated_stats(n):
+    """_stats at kappa2 = 1 of an exact Gram matrix whose first-pulse variance
+    is 2.18, not 1 + kappa2 = 2: far outside 5 standard errors, yet cond_var =
+    1.72 < 2."""
+    h, g = 1.09, 0.5
+    sigma = np.array([[h, 0, g, 0], [0, h, 0, g], [g, 0, h, 0], [0, g, 0, h]])
+    return _stats((n - 1) * sigma, n, 1.0, 1.0)
+
+
+def reference_chunks(kappa2, beta, n, seed):
     """(rows, rows.T @ rows) per chunk from the row-major (count, 8) expression
     that the column-major cycle kernel must reproduce bit for bit."""
     kappa = np.sqrt(kappa2)
@@ -42,16 +57,14 @@ def reference_chunks(kappa2, beta, n, seed, electronics_std):
         rows = np.empty((count, 4))
         rows[:, 0:2] = l1 + kappa * p
         rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
-        if electronics_std > 0.0:
-            rows += electronics_std * rng.standard_normal((count, 4))
         yield rows, rows.T @ rows
 
 
 class TestRunCycles:
     def test_no_interaction_decorrelates_pulses(self):
-        rec = run_cycles(0.0, 1.0, 20_000, seed=1)
-        corr = np.corrcoef(rec.a1, rec.a2)[0, 1]
-        assert abs(corr) < 3.0 / np.sqrt(len(rec))
+        rows = cycles(0.0, 1.0, 20_000, seed=1)
+        corr = np.corrcoef(rows[:, 0], rows[:, 2])[0, 1]
+        assert abs(corr) < 3.0 / np.sqrt(len(rows))
 
     def test_projection_noise_level(self):
         stats = stream_cycle_stats(1.0, 1.0, N, seed=2)
@@ -63,31 +76,23 @@ class TestRunCycles:
         assert stats.cond_var == pytest.approx(2.0, rel=0.02)
 
     def test_seeded_determinism(self):
-        a = run_cycles(0.7, 0.9, 5000, seed=5)
-        b = run_cycles(0.7, 0.9, 5000, seed=5)
-        assert np.array_equal(a.a1, b.a1) and np.array_equal(a.b2, b.b2)
+        assert np.array_equal(cycles(0.7, 0.9, 5000, seed=5), cycles(0.7, 0.9, 5000, seed=5))
 
     def test_parallel_matches_serial(self):
         # n chosen to straddle several chunk boundaries
-        serial = run_cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=1)
-        pooled = run_cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=4)
-        for name in ("a1", "b1", "a2", "b2"):
-            assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+        serial = cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=1)
+        pooled = cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=4)
+        assert np.array_equal(serial, pooled)
 
     @given(n=st.sampled_from([1, 2, CYCLE_CHUNK - 1, CYCLE_CHUNK, CYCLE_CHUNK + 1,
                               2 * CYCLE_CHUNK, 2 * CYCLE_CHUNK + 1]),
            kappa2=st.sampled_from([0.0, 1e-300, 1.0, 1e8]), beta=st.sampled_from([0.0, 0.65, 1.0]),
-           electronics_std=st.sampled_from([0.0, 0.3]), parallel=st.sampled_from([1, 2]),
-           seed=st.integers(0, 2**32 - 1))
+           parallel=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, electronics_std, parallel,
-                                              seed):
-        chunks = list(reference_chunks(kappa2, beta, n, seed, electronics_std))
+    def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, parallel, seed):
+        chunks = list(reference_chunks(kappa2, beta, n, seed))
         rows = np.concatenate([rows for rows, _ in chunks])
-        rec = run_cycles(kappa2, beta, n, seed, parallel=parallel,
-                         electronics_std=electronics_std)
-        for i, name in enumerate(("a1", "b1", "a2", "b2")):
-            assert getattr(rec, name).tobytes() == rows[:, i].tobytes()
+        assert cycles(kappa2, beta, n, seed, parallel=parallel).tobytes() == rows.tobytes()
         # the Gram sum that stream_cycle_stats hands to _stats, summed in chunk order
         summed, stats_of_gram = [], spinlight.experiment._stats
 
@@ -98,37 +103,33 @@ class TestRunCycles:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spinlight.experiment, "_stats", spy)
             try:
-                stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel,
-                                   electronics_std=electronics_std)
+                stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel)
             except ValueError:  # a single cycle is refused after the sum
                 assert n == 1
         assert summed[0].tobytes() == sum(gram for _, gram in chunks).tobytes()
 
     def test_record_access(self):
-        rec = run_cycles(1.0, 1.0, 10, seed=9)
-        assert len(rec) == 10
+        assert cycles(1.0, 1.0, 10, seed=9).shape == (10, 4)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            run_cycles(-1.0, 1.0, 10, seed=0)
+            cycles(-1.0, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
-            run_cycles(1.0, 1.5, 10, seed=0)
+            cycles(1.0, 1.5, 10, seed=0)
         with pytest.raises(ValueError):
-            run_cycles(1.0, 1.0, 0, seed=0)
+            cycles(1.0, 1.0, 0, seed=0)
 
 
 class TestStreamedStats:
     @given(n=st.integers(2, 3 * CYCLE_CHUNK + 17), parallel=st.sampled_from([1, 2, 4]),
-           kappa2=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0),
-           electronics_std=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+           kappa2=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_materialized_bitwise(self, n, parallel, kappa2, beta, electronics_std, seed):
+    def test_equals_materialized_bitwise(self, n, parallel, kappa2, beta, seed):
         def outcome(workers):
             # repr round-trips every float exactly and treats nan (kappa2 = 0) as
             # equal; a refusal (subnormal kappa2) must carry the same message
             try:
-                return stream_cycle_stats(kappa2, beta, n, seed, parallel=workers,
-                                          electronics_std=electronics_std)
+                return stream_cycle_stats(kappa2, beta, n, seed, parallel=workers)
             except ValueError as exc:
                 return f"ValueError: {exc}"
 
@@ -137,8 +138,8 @@ class TestStreamedStats:
         if isinstance(stats, str):
             return
         # the Gram-matrix sums against direct sums over the materialized cycles
-        rec = run_cycles(kappa2, beta, n, seed, electronics_std=electronics_std)
-        a1, b1, a2, b2 = rec.a1, rec.b1, rec.a2, rec.b2
+        rows = cycles(kappa2, beta, n, seed)
+        a1, b1, a2, b2 = rows.T
         var1, var2 = (a1 @ a1 + b1 @ b1) / (n - 1), (a2 @ a2 + b2 @ b2) / (n - 1)
         assert stats.var1 == pytest.approx(var1, rel=1e-12)
         assert stats.var2 == pytest.approx(var2, rel=1e-12)
@@ -147,26 +148,21 @@ class TestStreamedStats:
         alpha = (a1 @ a2 + b1 @ b2) / (a1 @ a1 + b1 @ b1)
         assert stats.alpha_star == pytest.approx(alpha, rel=1e-12,
                                                  abs=1e-12 * np.sqrt(var2 / var1))
-        assert abs(stats.cond_var - conditional_variance(rec, stats.alpha_star)) <= (
+        assert abs(stats.cond_var - conditional_variance(rows, stats.alpha_star)) <= (
             1e-12 * (stats.var2 + stats.alpha_star**2 * stats.var1))
 
     @given(n=st.sampled_from([2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, CYCLE_CHUNK - 1,
                               CYCLE_CHUNK, CYCLE_CHUNK + 1, 2 * CYCLE_CHUNK + CSV_BLOCK_ROWS])
            | st.integers(2, 3 * CYCLE_CHUNK + 17),
-           parallel=st.sampled_from([1, 2, 4]), electronics_std=st.sampled_from([0.0, 0.3]),
-           seed=st.integers(0, 2**32 - 1))
+           parallel=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_streamed_csv_equals_one_block(self, tmp_path_factory, n, parallel,
-                                           electronics_std, seed):
+    def test_streamed_csv_equals_one_block(self, tmp_path_factory, n, parallel, seed):
         tmp = tmp_path_factory.mktemp("csv")
         args = (0.7, 0.8, n, seed)
-        streamed = stream_cycle_stats(*args, parallel=parallel, electronics_std=electronics_std,
-                                      out=str(tmp / "streamed.csv"))
-        assert repr(streamed) == repr(stream_cycle_stats(
-            *args, parallel=parallel, electronics_std=electronics_std))
-        rec = run_cycles(*args, electronics_std=electronics_std)
+        streamed = stream_cycle_stats(*args, parallel=parallel, out=str(tmp / "streamed.csv"))
+        assert repr(streamed) == repr(stream_cycle_stats(*args, parallel=parallel))
         write_csv(str(tmp / "whole.csv"), ("cycle_index", "a1", "b1", "a2", "b2"),
-                  [(np.arange(n), rec.a1, rec.b1, rec.a2, rec.b2)])
+                  [(np.arange(n), *cycles(*args).T)])
         assert (tmp / "streamed.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
 
     def test_overflow_in_first_chunk_refused_before_the_csv(self, tmp_path):
@@ -183,24 +179,22 @@ class TestStreamedStats:
     def test_chunk_windows_match_serial(self):
         # parallel 2 hands the pool 128 chunks at a time: cover two windows and a partial
         n = 2 * 128 * CYCLE_CHUNK + 5
-        serial = run_cycles(0.6, 0.9, n, seed=57)
-        pooled = run_cycles(0.6, 0.9, n, seed=57, parallel=2)
-        assert all(np.array_equal(getattr(serial, k), getattr(pooled, k))
-                   for k in ("a1", "b1", "a2", "b2"))
+        assert np.array_equal(cycles(0.6, 0.9, n, seed=57),
+                              cycles(0.6, 0.9, n, seed=57, parallel=2))
         streamed = stream_cycle_stats(0.6, 0.9, n, seed=57, parallel=2)
         assert repr(streamed) == repr(stream_cycle_stats(0.6, 0.9, n, seed=57))
 
     def test_matches_direct_sums(self):
         # the Gram-matrix route differs from the direct sums by round-off only
         n = 3 * CYCLE_CHUNK + 17
-        rec = run_cycles(1.449, 0.65, n, seed=61)
+        rows = cycles(1.449, 0.65, n, seed=61)
         stats = stream_cycle_stats(1.449, 0.65, n, seed=61)
-        a1, b1, a2, b2 = rec.a1, rec.b1, rec.a2, rec.b2
+        a1, b1, a2, b2 = rows.T
         alpha = (a1 @ a2 + b1 @ b2) / (a1 @ a1 + b1 @ b1)
         assert stats.alpha_star == pytest.approx(alpha, rel=1e-12)
         assert stats.var1 == pytest.approx((a1 @ a1 + b1 @ b1) / (n - 1), rel=1e-12)
         assert stats.var2 == pytest.approx((a2 @ a2 + b2 @ b2) / (n - 1), rel=1e-12)
-        assert stats.cond_var == pytest.approx(conditional_variance(rec, alpha), rel=1e-12)
+        assert stats.cond_var == pytest.approx(conditional_variance(rows, alpha), rel=1e-12)
 
     def test_argument_validation(self):
         for args in ((-1.0, 1.0, 10), (1.0, 1.5, 10), (1.0, 1.0, 0), (1.0, 1.0, 1)):
@@ -219,19 +213,19 @@ class TestAlpha:
 
 class TestConditionalVariance:
     def test_alpha_zero_is_raw_second_moment(self):
-        rec = run_cycles(1.0, 1.0, 5000, seed=14)
-        got = conditional_variance(rec, 0.0)
-        want = (np.dot(rec.a2, rec.a2) + np.dot(rec.b2, rec.b2)) / (len(rec) - 1)
+        rows = cycles(1.0, 1.0, 5000, seed=14)
+        got = conditional_variance(rows, 0.0)
+        want = (rows[:, 2] @ rows[:, 2] + rows[:, 3] @ rows[:, 3]) / (len(rows) - 1)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_ideal_minimum(self):
-        rec = run_cycles(1.0, 1.0, N, seed=15)
-        cond = conditional_variance(rec, stream_cycle_stats(1.0, 1.0, N, seed=15).alpha_star)
+        rows = cycles(1.0, 1.0, N, seed=15)
+        cond = conditional_variance(rows, stream_cycle_stats(1.0, 1.0, N, seed=15).alpha_star)
         assert cond == pytest.approx(1.5, rel=0.02)
 
     def test_decohered_minimum(self):
-        rec = run_cycles(1.0, 0.65, N, seed=16)
-        cond = conditional_variance(rec, stream_cycle_stats(1.0, 0.65, N, seed=16).alpha_star)
+        rows = cycles(1.0, 0.65, N, seed=16)
+        cond = conditional_variance(rows, stream_cycle_stats(1.0, 0.65, N, seed=16).alpha_star)
         expected = 1.0 + (1.0 + (1.0 - 0.65**2)) / 2.0
         assert expected == pytest.approx(1.78875)
         assert cond == pytest.approx(expected, rel=0.02)
@@ -262,8 +256,7 @@ class TestVerdict:
         assert entanglement_verdict(stats) is True
 
     def test_calibration_failure_withholds_verdict(self):
-        # electronics noise lifts var1 to ~2.18, far outside 2 +- 5 standard errors
-        stats = stream_cycle_stats(1.0, 1.0, N, seed=19, electronics_std=0.3)
+        stats = miscalibrated_stats(N)
         assert not stats.calibration_ok
         with pytest.raises(CalibrationError):
             entanglement_verdict(stats)
@@ -401,7 +394,7 @@ class TestDensitySweep:
     @pytest.mark.parametrize("n_cycles", [2, 3, 4, 5, 4097, 8195])
     def test_short_last_chunks_give_finite_rows(self, n_cycles):
         # chunks of fewer than 4 cycles are drawn as rows, the others as Gram matrices
-        rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44, electronics_std=0.1)
+        rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44)
         assert all(np.isfinite(astuple(row)).all() for row in rows)
 
     @pytest.mark.parametrize("n_cycles", [5 * CYCLE_CHUNK + 3, 10**12])
@@ -432,7 +425,7 @@ class TestSamplingLaws:
     Bartlett diagonal is sqrt(chi2(1)), and at 10**12, which only it can
     reach."""
 
-    CASES = ((0.65, 0.0), (1.0, 0.3), (0.0, 0.5))  # (beta, electronics_std)
+    BETAS = (0.65, 1.0, 0.0)
     THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4
 
     @staticmethod
@@ -446,34 +439,32 @@ class TestSamplingLaws:
         assert abs(np.var(samples, ddof=1) - var) <= 4.5 * var_se, label
 
     def check(self, stats_of, n_cycles, n_seeds):
-        # stats_of(thetas, beta, e, n_cycles, seed) -> [(kappa2, var1, cond_var, alpha_star)]
-        for beta, e_std in self.CASES:
-            draws = np.array([stats_of(self.THETAS, beta, e_std, n_cycles, seed)
+        # stats_of(thetas, beta, n_cycles, seed) -> [(kappa2, var1, cond_var, alpha_star)]
+        for beta in self.BETAS:
+            draws = np.array([stats_of(self.THETAS, beta, n_cycles, seed)
                               for seed in range(n_seeds)])
             for i, (kappa2, *_) in enumerate(draws[0]):
-                laws = cycle_stat_laws(kappa2, beta, e_std, n_cycles)
+                laws = cycle_stat_laws(kappa2, beta, n_cycles)
                 for j, name in enumerate(("var1", "cond_var", "alpha_star"), start=1):
-                    label = f"{name} at kappa2={kappa2}, beta={beta}, e={e_std}"
+                    label = f"{name} at kappa2={kappa2}, beta={beta}"
                     self.assert_law(draws[:, i, j], laws[name], label)
 
     @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200),
                                                   (4, 2000), (10**12, 200)])
     def test_density_sweep(self, n_cycles, n_seeds):
-        def stats_of(thetas, beta, e_std, n, seed):
-            floor = 1.0 + 2.0 * e_std**2
-            return [(row.kappa2, row.pn1 + floor, row.cond_var_minus_shot + floor,
-                     row.alpha_star)
-                    for row in density_sweep(thetas, beta, n, seed, electronics_std=e_std)]
+        def stats_of(thetas, beta, n, seed):
+            return [(row.kappa2, row.pn1 + 1.0, row.cond_var_minus_shot + 1.0, row.alpha_star)
+                    for row in density_sweep(thetas, beta, n, seed)]
 
         self.check(stats_of, n_cycles, n_seeds)
 
     @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200)])
     def test_stream_cycle_stats(self, n_cycles, n_seeds):
-        def stats_of(thetas, beta, e_std, n, seed):
+        def stats_of(thetas, beta, n, seed):
             rows = []
             for theta in thetas:
                 kappa2 = kappa2_experimental(theta)
-                stats = stream_cycle_stats(kappa2, beta, n, seed, electronics_std=e_std)
+                stats = stream_cycle_stats(kappa2, beta, n, seed)
                 rows.append((kappa2, stats.var1, stats.cond_var, stats.alpha_star))
             return rows
 
@@ -482,51 +473,14 @@ class TestSamplingLaws:
     @pytest.mark.parametrize("kappa2", [0.0, 1.0, 4.0])
     def test_residual_law_is_the_model_at_zero_electronics(self, kappa2):
         n = 100
-        mean, _ = cycle_stat_laws(kappa2, 0.65, 0.0, n)["cond_var"]
+        mean, _ = cycle_stat_laws(kappa2, 0.65, n)["cond_var"]
         assert 2.0 * mean * (n - 1) / (2 * n - 1) == pytest.approx(
             theory_curves(kappa2, 0.65)[0], rel=1e-14)
 
 
-class TestElectronicsFloor:
-    def test_floor_added_and_subtracted(self):
-        e_std = 0.4
-        stats = stream_cycle_stats(1.0, 1.0, N, seed=47, electronics_std=e_std)
-        assert stats.var1 == pytest.approx(2.0 + 2 * e_std**2, rel=0.02)
-        row, = density_sweep([10.0], 1.0, N, seed=48, electronics_std=e_std)
-        assert row.pn1 == pytest.approx(1.0, rel=0.05)
-
-    def test_electronics_noise_drawn_after_the_cycle_normals(self):
-        # the cycles at electronics_std = 0 are the same with the extra draws
-        # skipped, because they come last from each chunk's own generator
-        e_std, count = 0.3, 100
-        noisy = run_cycles(1.0, 0.65, count, seed=49, electronics_std=e_std)
-        clean = run_cycles(1.0, 0.65, count, seed=49)
-        rng = np.random.default_rng(np.random.SeedSequence(49, spawn_key=(0,)))
-        rng.standard_normal((count, 8))
-        elec = e_std * rng.standard_normal((count, 4))
-        for i, name in enumerate(("a1", "b1", "a2", "b2")):
-            assert np.array_equal(getattr(noisy, name), getattr(clean, name) + elec[:, i])
-
-    def test_overflowing_floor_refused(self):
-        # one ValueError line, not the OverflowError of a Python float's 1e200**2
-        with pytest.raises(ValueError, match="electronics floor .* is not finite"):
-            density_sweep([10.0], 1.0, 1000, 1, electronics_std=1e200)
-        # a finite floor under overflowing sums keeps the sums' refusal
-        with pytest.raises(ValueError, match="outcome sums at kappa2 = 1 are not finite"):
-            density_sweep([10.0], 1.0, 1000, 1, electronics_std=9e153)
-
-    @pytest.mark.parametrize("e_std", [-0.4, float("nan")])
-    def test_negative_or_nan_noise_refused(self, e_std):
-        # -0.4 added no noise to the cycles but took 2 e^2 off the sweep's columns
-        with pytest.raises(ValueError, match="electronics_std must be >= 0"):
-            stream_cycle_stats(1.0, 1.0, 100, seed=50, electronics_std=e_std)
-        with pytest.raises(ValueError, match="electronics_std must be >= 0"):
-            density_sweep([10.0], 1.0, 100, seed=50, electronics_std=e_std)
-
-
 class TestOutputs:
     def test_cycles_csv(self, tmp_path):
-        rec = run_cycles(1.0, 1.0, 50, seed=51)
+        rows = cycles(1.0, 1.0, 50, seed=51)
         path = tmp_path / "cycles.csv"
         stream_cycle_stats(1.0, 1.0, 50, seed=51, out=str(path))
         lines = path.read_text().splitlines()
@@ -534,7 +488,7 @@ class TestOutputs:
         assert len(lines) == 51
         cells = lines[5].split(",")
         assert int(cells[0]) == 4
-        assert float(cells[1]) == rec.a1[4]  # 17 significant digits round-trip
+        assert float(cells[1]) == rows[4, 0]  # 17 significant digits round-trip
 
     def test_sweep_csv(self, tmp_path):
         rows = density_sweep([2.0, 4.0], 0.65, 500, seed=52)
@@ -555,8 +509,7 @@ class TestOutputs:
         assert "calibration = ok" in text
 
     def test_failed_calibration_withholds_verdict(self):
-        # electronics noise lifts var1 to ~2.18, far outside 2 +- 5 standard errors
-        stats = stream_cycle_stats(1.0, 1.0, N, seed=54, electronics_std=0.3)
+        stats = miscalibrated_stats(N)
         assert not stats.calibration_ok and stats.entangled
         text = summary_text(stats)
         assert "calibration = failed" in text

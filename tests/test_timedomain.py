@@ -1,5 +1,6 @@
 """Stochastic pulse integration, lock-in demodulation, shot-noise scaling."""
 
+import math
 import re
 import tracemalloc
 
@@ -196,6 +197,77 @@ class TestDemodulation:
             vals[i] = lock.x_l1
         se = np.sqrt(2.0 / vals.size)
         assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=4 * se)
+
+
+class UnitNormals:
+    """A generator stand-in for simulate_pulse: its draws, xi then zeta, are
+    the unit vector k of their 2 n_steps concatenated normals (all zero for
+    k < 0)."""
+
+    def __init__(self, k):
+        self.k, self.drawn = k, 0
+
+    def standard_normal(self, size):
+        out = np.zeros(size)
+        if 0 <= self.k - self.drawn < size:
+            out[self.k - self.drawn] = 1.0
+        self.drawn += size
+        return out
+
+
+def euler_covariance(kappa, omega_T, n_steps):
+    """The exact covariance of simulate_pulse's (x_l1, x_l2, *final_atoms).
+
+    The integrator is linear in its 4 atomic inputs and 2 n_steps normals, so
+    its response to each unit input is a column of its matrix A, and the
+    covariance is A D A^T, D = 1/2 on the atoms and 1 on the noise.  Each
+    entry is summed exactly (math.fsum): a float sum adds 2 n_steps small
+    terms to a large one, which alone reads up to 40 eps (1 + kappa^2) at
+    2000 steps."""
+    columns = []
+    for k in range(4 + 2 * n_steps):
+        atoms = tuple(float(k == i) for i in range(4))
+        trace, lock = simulate_pulse(kappa, omega_T, n_steps, atoms, UnitNormals(k - 4))
+        columns.append((lock.x_l1, lock.x_l2, *final_atoms(trace)))
+    a = np.array(columns).T
+    d = np.ones(4 + 2 * n_steps)
+    d[:4] = 0.5
+    return np.array([[math.fsum(a[i] * a[j] * d) for j in range(6)] for i in range(6)])
+
+
+class TestEulerIntegrator:
+    """The step-by-step integrator against pulse_covariance, with no Monte
+    Carlo: Euler = pulse_covariance to round-off at any resolution, and
+    pulse_covariance = the symplectic engine at whole cycle counts
+    (TestDemodulation), so the three kernels form one chain.
+
+    Bound: every sum in simulate_pulse has a single nonzero term for a unit
+    input, except the lock-in dot products of the atomic columns, which
+    pulse_covariance forms as other sums of the same terms.  So each entry of
+    A carries a few roundings, and so does M D M^T; the covariance entries
+    are of size up to 1 + kappa^2.  Over 300 random points (kappa in [0, 5],
+    1 to 5 cycles) and points up to 10^4 steps the difference stayed below
+    3.1 eps (1 + kappa^2), with no growth in n_steps; the bound is 8 of them."""
+
+    @staticmethod
+    def assert_chain(kappa, cycles, n_steps):
+        omega_t = 2.0 * np.pi * cycles
+        bound = 8.0 * np.finfo(float).eps * (1.0 + kappa**2)
+        np.testing.assert_allclose(euler_covariance(kappa, omega_t, n_steps),
+                                   pulse_covariance(kappa, omega_t, n_steps), rtol=0, atol=bound)
+
+    # off-resonance points (1.25 and 20.43 cycles) too, where the law is not the engine's
+    @pytest.mark.parametrize("kappa,cycles,n_steps", [(1.0, 1.25, 125), (1.3, 20.0, 2000),
+                                                      (0.7, 20.43, 2100), (2.0, 3.0, 300)])
+    def test_matches_pulse_covariance(self, kappa, cycles, n_steps):
+        self.assert_chain(kappa, cycles, n_steps)
+
+    @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           cycles=st.one_of(st.integers(1, 5), st.floats(1.0, 5.0)),
+           extra_steps=st.integers(0, 50))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_pulse_covariance_property(self, kappa, cycles, extra_steps):
+        self.assert_chain(kappa, cycles, math.ceil(100 * cycles) + extra_steps)
 
 
 def per_step_projections(rng, m, c, s, sums):
