@@ -11,8 +11,8 @@ with l1, l2, p, w independent N(0, 1/2) per channel, which is exactly the
 joint outcome distribution produced by sequential Gaussian conditioning.
 The symplectic engine provides the independent deterministic route for the
 same quantities (see engine_conditioned_duan); the two are cross-checked in
-the test suite rather than sharing code.  cross_engine_rows holds the
-time-domain engine's pulse moments against the symplectic engine.
+the test suite rather than sharing code.  cross_engine_rows is the whole
+timedomain check of the time-domain engine against the symplectic engine.
 
 Cycles are simulated in the seeded chunks of spinlight.chunks, so any
 degree of parallelism produces byte-identical results.  The statistics need
@@ -304,9 +304,10 @@ def engine_pulse_covariance(kappa: float) -> np.ndarray:
     return state.cov[np.ix_(order, order)]
 
 
-def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
-                      seed: int) -> list[tuple[str, float, float, bool]]:
-    """Compare Monte Carlo moments against the engine's exact prediction.
+def cross_engine_rows(kappa2: float, n_runs: int, seed: int
+                      ) -> tuple[list[tuple[str, float, float, bool]], timedomain.PulseTrace]:
+    """Rows of Monte Carlo moments against the engine's exact prediction, then
+    the spin-sum drift of one vacuum-input pulse (held to 1e-10), and its trace.
 
     Entries are held to |mc - exact| <= 0.03 * max(|exact|, 1/2).  At a whole
     number of Larmor cycles timedomain.pulse_covariance equals the engine's
@@ -315,12 +316,14 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
     vanish.  Sample means are checked against the engine's zero means at 5
     standard errors.  Raises ValueError when the sample moments are not finite.
     """
+    kappa = float(np.sqrt(kappa2))
+    omega_T = timedomain.DEFAULT_OMEGA_T
+    n_steps = round(timedomain.STEPS_PER_CYCLE * omega_T / (2.0 * np.pi))
     ensemble = timedomain.pulse_ensemble(kappa, omega_T, n_steps, n_runs, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         mc_cov = np.cov(ensemble, rowvar=False)
     if not np.isfinite(mc_cov).all():  # so is it wherever a sample mean is not
-        # kappa**2 is the kappa2 given to about 1 ulp: 15 digits print that value
-        raise ValueError(f"the sample moments at kappa2 = {kappa**2:.15g} are not finite")
+        raise ValueError(f"the sample moments at kappa2 = {kappa2:.15g} are not finite")
     exact = engine_pulse_covariance(kappa)
     rows = []
     names = ("x_l1", "x_l2", "X_A1", "P_A1", "X_A2", "P_A2")
@@ -328,12 +331,17 @@ def cross_engine_rows(kappa: float, n_runs: int, omega_T: float, n_steps: int,
         got = float(ensemble[:, i].mean())
         bound = 5.0 * np.sqrt(exact[i, i] / n_runs)
         rows.append((f"mean({name})", got, 0.0, abs(got) <= bound))
+    del ensemble  # so the pulse below adds nothing to the peak memory
     for label, i, j in _MOMENT_CHECKS:
         want = float(exact[i, j])
         got = float(mc_cov[i, j])
         ok = abs(got - want) <= 0.03 * max(abs(want), 0.5)
         rows.append((label, got, want, ok))
-    return rows
+    trace, _ = timedomain.simulate_pulse(kappa, omega_T, n_steps, (0.0, 0.0, 0.0, 0.0),
+                                         np.random.default_rng(seed))
+    drift = float(np.max(np.abs(trace.spin_sums - trace.spin_sums[0])))
+    rows.append(("spin-sum drift", drift, 0.0, drift <= 1e-10))
+    return rows, trace
 
 
 def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,

@@ -39,7 +39,6 @@ class PhysicalParams:
     power_mW: float = 4.5
     pulse_ms: float = 2.0
     area_eff_cm2: float = 6.0
-    larmor_kHz: float = 325.0
     n_atoms: float = 1.0e11  # F=4 population per cell
 
     def __post_init__(self) -> None:
@@ -47,7 +46,7 @@ class PhysicalParams:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("wavelength_nm", "linewidth_MHz", "power_mW", "pulse_ms",
-                     "area_eff_cm2", "larmor_kHz", "n_atoms"):
+                     "area_eff_cm2", "n_atoms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.detuning_MHz == 0:
@@ -164,14 +163,14 @@ def calibrate(p: PhysicalParams, theta_deg: float | None = None) -> Calibration:
 
 def kappa2_theory(power_mW: float, pulse_ms: float, theta_deg: float,
                   detuning_MHz: float) -> float:
-    """Practical coupling prediction 18.6 * P * T * theta / Delta.
+    """Practical coupling prediction 18.6 * P * T * theta / |Delta|.
 
     The lumped 18.6 prefactor is kept as published; it sits a few percent
     above what the rounded gamma = 5 MHz reproduces (see kappa2_first_principles).
     """
-    if min(power_mW, pulse_ms, theta_deg, detuning_MHz) < 0:
-        raise ValueError("arguments must be non-negative (detuning positive)")
-    return KAPPA2_PRACTICAL_COEFF * power_mW * pulse_ms * theta_deg / detuning_MHz
+    if min(power_mW, pulse_ms, theta_deg) < 0 or detuning_MHz == 0:
+        raise ValueError("power, pulse and theta must be non-negative, detuning nonzero")
+    return KAPPA2_PRACTICAL_COEFF * power_mW * pulse_ms * theta_deg / abs(detuning_MHz)
 
 
 def kappa2_first_principles(power_mW: float, pulse_ms: float, theta_deg: float,

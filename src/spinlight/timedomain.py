@@ -32,7 +32,7 @@ DEFAULT_OMEGA_T = 2.0 * np.pi * 650.0
 #: Minimum time steps per Larmor cycle demanded of callers.
 STEPS_PER_CYCLE = 100
 #: Pulse length T.  Lock-in outputs and moments depend only on omega_T and
-#: n_steps; T sets only the time axis (dt_ms, the trace's t_ms column).
+#: n_steps; T sets only the time axis (the trace's t_ms column).
 PULSE_MS = 2.0
 
 
@@ -47,8 +47,6 @@ class PulseTrace:
     components (J'_{y,z} divided by sqrt(2 J_x)).
     """
 
-    dt_ms: float
-    n_steps: int
     sy_samples: np.ndarray
     spin_sums: np.ndarray   # (n_steps, 2): (jy1+jy2, jz1+jz2)
     spin_diffs: np.ndarray  # (n_steps, 2): (jy1-jy2, jz1-jz2)
@@ -132,8 +130,7 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
 
     x_l1 = float(np.dot(w, c) / np.sqrt(norm_c))
     x_l2 = float(np.dot(w, s) / np.sqrt(norm_s))
-    trace = PulseTrace(dt_ms=dt, n_steps=n_steps,
-                       sy_samples=np.divide(w, np.sqrt(0.5 * PULSE_MS), out=w),
+    trace = PulseTrace(sy_samples=np.divide(w, np.sqrt(0.5 * PULSE_MS), out=w),
                        spin_sums=spin_sums, spin_diffs=spin_diffs)
     return trace, LockInResult(x_l1=x_l1, x_l2=x_l2)
 
@@ -239,7 +236,7 @@ def diff_noise_growth(kappa: float, rng: np.random.Generator,
 
 def write_trace_csv(trace: PulseTrace, path: str) -> None:
     """Dump one pulse trace: step, t_ms, sy_sample, jy_sum, jz_sum, jy_diff, jz_diff."""
-    steps = np.arange(trace.n_steps)
+    steps = np.arange(len(trace.sy_samples))
     write_csv(path, ("step", "t_ms", "sy_sample", "jy_sum", "jz_sum", "jy_diff", "jz_diff"),
-              [(steps, (steps + 0.5) * trace.dt_ms, trace.sy_samples,
+              [(steps, (steps + 0.5) * (PULSE_MS / len(steps)), trace.sy_samples,
                 *trace.spin_sums.T, *trace.spin_diffs.T)])

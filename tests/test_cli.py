@@ -65,6 +65,16 @@ class TestCalibrate:
         k2 = float(parse_kv(out2)["kappa2_theory"])
         assert k2 == pytest.approx(k1 / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("route", [(), ("--theta-deg", "10")], ids=["n_atoms", "theta"])
+    def test_red_detuning_changes_only_the_sign_of_a(self, capsys, route):
+        # kappa^2 depends on |Delta|; -700 exited 1 in kappa2_theory while run accepted it
+        _, blue, _ = run_cli(capsys, "calibrate", "--detuning-mhz", "700", *route)
+        code, red, _ = run_cli(capsys, "calibrate", "--detuning-mhz", "-700", *route)
+        assert code == 0
+        blue, red = parse_kv(blue), parse_kv(red)
+        assert float(red.pop("a")) == -float(blue.pop("a"))
+        assert red == blue
+
     def test_bad_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--power-mw", "-3")
         assert code == 1
@@ -369,6 +379,25 @@ class TestTimedomain:
         code, out, _ = run_cli(capsys, "timedomain", "--kappa2", "1",
                                "--cycles", "64", "--seed", "17")
         assert "overall = FAIL" in out
+        assert code == 4
+
+    def test_failed_drift_row_exit_code(self, capsys, monkeypatch):
+        # no real input moves the vacuum pulse's spin sums: make them move by 1e-9
+        import spinlight.timedomain as td
+        monkeypatch.setattr(td, "DEFAULT_OMEGA_T", 2.0 * np.pi * 20.0)
+        simulate_pulse = td.simulate_pulse
+
+        def drifting_pulse(*args):
+            trace, lock_in = simulate_pulse(*args)
+            trace.spin_sums[-1] += 1e-9
+            return trace, lock_in
+
+        monkeypatch.setattr(td, "simulate_pulse", drifting_pulse)
+        code, out, _ = run_cli(capsys, "timedomain", "--kappa2", "1",
+                               "--cycles", "20000", "--seed", "17")
+        assert out == (TIMEDOMAIN_REPORT
+                       .replace("drift = 0.000e+00 (PASS)", "drift = 1.000e-09 (FAIL)")
+                       .replace("overall = PASS", "overall = FAIL"))
         assert code == 4
 
 

@@ -90,6 +90,12 @@ class TestKappa2Formulas:
         assert kappa2_theory(4.5, 2.0, 0.0, 700.0) == 0.0
         assert kappa2_experimental(0.0) == 0.0
 
+    def test_red_detuning_and_zero_detuning(self):
+        # kappa^2 depends on |Delta|, as kappa_from_params uses |a|
+        assert kappa2_theory(4.5, 2.0, 1.0, -700.0) == kappa2_theory(4.5, 2.0, 1.0, 700.0)
+        with pytest.raises(ValueError, match="detuning nonzero"):
+            kappa2_theory(4.5, 2, 1, 0)  # raised ZeroDivisionError
+
     def test_experimental_slope(self):
         assert kappa2_experimental(10.0) == pytest.approx(1.0)
 
