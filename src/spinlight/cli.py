@@ -56,6 +56,8 @@ class RunConfig:
                 raise UsageError(f"{f.name} must be finite")
         if self.cycles < 2:
             raise UsageError("cycles must be >= 2")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.parallel < 1:
             raise UsageError("parallel must be >= 1")
         if not 0.0 <= self.beta <= 1.0:

@@ -26,10 +26,10 @@ import numpy as np
 
 _REAL = "%.17g"
 
-#: Rows converted per block.  At 512 rows the kernel's temporaries (a few
-#: hundred bytes per value) stay below the Python floats and row strings of
-#: the 4096-row blocks that formatting one value at a time held.
-CSV_BLOCK_ROWS = 512
+#: Rows converted per block.  Each call pays about 0.2 ms of numpy call
+#: overhead beside its per-value work.  The kernel's heap is about 120 bytes
+#: per value, so 1024 rows of 7 columns take under 1 MB; twice that ran slower.
+CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(value: float) -> str:
@@ -91,6 +91,7 @@ def _scaled(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err = ((v_hi * t_hh - prod) + v_hi * t_hl + v_lo * t_hh) + v_lo * t_hl  # prod + err is exact
     whole = np.floor(prod)
     frac = (prod - whole) + (err + v * t_lo)
+    del prod, err, t_lo
     carry = np.floor(frac)
     return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
 
@@ -100,6 +101,7 @@ def _format_rows(block: np.ndarray) -> bytes:
 
     The text starts with a newline and does not end with one.
     """
+    # each temporary is deleted before the next stage's peak, for less heap per value
     x = block.ravel()
     m = x.size
     v = np.abs(x)
@@ -118,6 +120,7 @@ def _format_rows(block: np.ndarray) -> bytes:
     unprinted = zero | fallback
     d[unprinted] = 0
     k[unprinted] = 0
+    del v, n, f, carry, direct, zero, unprinted
 
     # D = top * 10**16 + four groups of four digits
     top, rest = np.divmod(d, _E16)
@@ -131,20 +134,23 @@ def _format_rows(block: np.ndarray) -> bytes:
     chars[:, 3] = top + 48
     zeros = _QUAD_ZEROS[q4] + (q4 == 0) * (_QUAD_ZEROS[q3] + (q3 == 0) * (
         _QUAD_ZEROS[q2] + (q2 == 0) * (_QUAD_ZEROS[q1] + (q1 == 0) * (top == 0))))
+    del d, top, rest, hi, lo, q1, q2, q3, q4, group
     sig = np.maximum(17 - zeros.astype(np.int64), 1)
     fixed = (k >= -4) & (k < 17)
     shown = np.where(fixed, np.maximum(sig, k + 1), sig)  # digits printed
     point = np.where(fixed, k, 0)  # the point follows this digit, if any digit follows it
-    point[(point < 0) | (shown <= point + 1)] = 17
+    point = np.where((point >= 0) & (shown > point + 1), point, 17)
 
     # slot-major: row i + 1 holds digit i, rows 0 and 18 are NUL
     digits = np.zeros((19, m), dtype=np.uint8)
     digits[1:18] = chars[:, 3:].T
     digits[1:18] *= (_SLOTS[:17] < shown.astype(np.int8)).view(np.uint8)
     p = point.astype(np.int8)
+    del zeros, sig, chars, shown, point
     before = (_SLOTS <= p).view(np.uint8)
     at = (_SLOTS == p + 1).view(np.uint8)
     body = digits[1:] * before + digits[:-1] * (1 - before - at) + at * np.uint8(46)
+    del digits, before, at, p
 
     # one row of 32 slots per value: lead word, body, two NULs, exponent word
     cols = block.shape[1]
@@ -154,8 +160,9 @@ def _format_rows(block: np.ndarray) -> bytes:
     out.view(np.uint64)[:, 0] = _LEADS[row_start + 2 * np.where(fixed & (k < 0), -k, 0)
                                        + np.signbit(x)]
     out[:, 8:26] = body.T
-    out[:, 26:28] = 0
+    out.view(np.uint16)[:, 13] = 0
     out.view(np.uint32)[:, 7] = _EXPONENTS[np.where(fixed, 0, k + _K_MAX + 1)]
+    del body, row_start, k, fixed
     for i in np.flatnonzero(fallback):
         text = ("\n" if i % cols == 0 else ",") + _fmt(float(x[i]))
         out[i] = 0

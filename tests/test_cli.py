@@ -545,6 +545,15 @@ class TestConfig:
         code, _, _ = run_cli(capsys, "run", "--beta", "1.5")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("run",), ("sweep",), ("timedomain",),
+                                      ("protocol", "--protocol", "teleport")])
+    def test_negative_seed_refused(self, capsys, tmp_path, argv):
+        refusal = (1, "", "error: seed must be >= 0\n")
+        assert run_cli(capsys, *argv, "--seed", "-1") == refusal
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -1\n")
+        assert run_cli(capsys, *argv, "--config", str(path)) == refusal
+
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", ["1", "4"])

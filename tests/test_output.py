@@ -7,6 +7,7 @@ cannot certify through `_fmt`.  Every test compares its bytes with
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlight.cli import main
-from spinlight.output import CSV_BLOCK_ROWS, _fmt, write_csv
+from spinlight.output import CSV_BLOCK_ROWS, _fmt, _format_rows, write_csv
 
 
 def reference_csv(header, columns) -> bytes:
@@ -106,8 +107,10 @@ class TestMatchesPerValueFormat:
         for n_cols in (1, 2, 3, 7):
             assert_same_bytes(tmp_path, as_columns(values, n_cols))
 
-    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                        CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+    # partial and uneven blocks, then the edges of one and of three blocks
+    @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1541, CSV_BLOCK_ROWS - 1,
+                                        CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                        3 * CSV_BLOCK_ROWS + 5])
     def test_block_sizes(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         assert_same_bytes(tmp_path, [np.arange(n_rows), rng.normal(size=n_rows),
@@ -158,6 +161,20 @@ class TestBlocks:
         path = tmp_path / "out.csv"
         write_csv(str(path), ("a", "b"), [])
         assert path.read_bytes() == b"a,b\n"
+
+    def test_kernel_heap_per_value(self):
+        """A full block of seven columns peaks at no more than 200 heap bytes per value."""
+        rng = np.random.default_rng(25)
+        block = np.column_stack([np.arange(CSV_BLOCK_ROWS, dtype=np.float64),
+                                 rng.normal(size=(CSV_BLOCK_ROWS, 6))])
+        _format_rows(block)  # warm-up
+        tracemalloc.start()
+        try:
+            _format_rows(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / block.size <= 200
 
 
 def test_run_csv_bytes_pinned(tmp_path, capsys):

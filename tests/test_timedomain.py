@@ -23,6 +23,8 @@ from spinlight.timedomain import (
     write_trace_csv,
 )
 
+from test_output import reference_csv
+
 # light resolution for unit tests: 20 Larmor cycles, 100 steps each
 OMEGA_T = 2.0 * np.pi * 20.0
 N_STEPS = 2000
@@ -411,3 +413,17 @@ class TestTraceDump:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[2]) == trace.sy_samples[0]  # 17 digits: exact
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        """The trace at the command's grid, with an integer and two all-zero columns."""
+        n_steps = 65_000
+        trace, _ = simulate_pulse(1.0, DEFAULT_OMEGA_T, n_steps, (0.0, 0.0, 0.0, 0.0),
+                                  np.random.default_rng(26))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        steps = np.arange(n_steps)
+        header = ("step", "t_ms", "sy_sample", "jy_sum", "jz_sum", "jy_diff", "jz_diff")
+        columns = (steps, (steps + 0.5) * (PULSE_MS / n_steps), trace.sy_samples,
+                   *trace.spin_sums.T, *trace.spin_diffs.T)
+        assert sum(not col.any() for col in columns) == 2
+        assert path.read_bytes() == reference_csv(header, columns)
