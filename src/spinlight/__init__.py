@@ -29,7 +29,6 @@ from .experiment import (
     SweepRow,
     density_sweep,
     duan_spin_check,
-    entanglement_verdict,
     stream_cycle_stats,
     theory_curves,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "faraday_theta", "kappa2_theory", "kappa2_experimental", "css_variance",
     "beta_from_t2",
     "CycleStats", "SweepRow", "theory_curves",
-    "stream_cycle_stats", "entanglement_verdict", "duan_spin_check", "density_sweep",
+    "stream_cycle_stats", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
     "diff_noise_growth",
     "ProtocolResult", "teleport_spin_state", "entanglement_swap",

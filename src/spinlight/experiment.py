@@ -39,11 +39,6 @@ from .physics import kappa2_experimental
 CYCLE_CHUNK = 4096
 
 
-class CalibrationError(RuntimeError):
-    """The data cannot support a verdict: first-pulse noise is inconsistent
-    with shot + projection noise, or the light carries no atomic information."""
-
-
 @dataclass(frozen=True)
 class CycleStats:
     """Summary statistics and the entanglement verdict of a cycle ensemble."""
@@ -54,7 +49,7 @@ class CycleStats:
     alpha_star: float
     cond_var: float
     atomic_var_inferred: float
-    entangled: bool | None  # None where 1 + kappa2 rounds to 1: undetermined
+    entangled: bool | None  # None where calibration failed or 1 + kappa2 rounds to 1
     kappa2: float
     beta: float
     calibration_ok: bool
@@ -180,6 +175,9 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     construction and this matches the conditional-variance normalization,
     so cond_var <= var2 + var1 alpha*^2 holds identically.
 
+    The verdict, entangled, is cond_var < 1 + kappa^2, or None where the first
+    pulse fails calibration (the bound's premise) or 1 + kappa2 rounds to 1.
+
     cond_var is refused when it does not exceed its rounding bound, 2 eps
     (|S22| + |2 alpha S12| + alpha^2 S11) / (n - 1): the four roundings of
     eps/2 per term from the Gram entries on, before the Gram sums' own.
@@ -207,7 +205,7 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     calibration_ok = bool(abs(var1 - bound) <= width)
     return CycleStats(n=n, var1=var1, var2=var2, alpha_star=alpha,
                       cond_var=cond, atomic_var_inferred=atomic,
-                      entangled=bool(cond < bound) if bound > 1.0 else None,
+                      entangled=bool(cond < bound) if bound > 1.0 and calibration_ok else None,
                       kappa2=kappa2, beta=beta, calibration_ok=calibration_ok)
 
 
@@ -237,25 +235,6 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
         write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"),
                   ((np.arange(start, start + len(rows)), *rows.T) for start, rows in blocks()))
     return _stats(gram, n_cycles, kappa2, beta)
-
-
-def entanglement_verdict(stats: CycleStats) -> bool:
-    """True iff the conditional variance beats the separable bound 1 + kappa^2.
-
-    Refuses to rule when the first-pulse noise fails the projection-noise
-    calibration check (the bound is only meaningful for quantum-noise-limited
-    input pulses), and at kappa2 = 0, where the outcomes hold no atomic
-    information and cond_var < 1 is a coin flip; so is it wherever 1 + kappa2
-    rounds to 1.
-    """
-    if stats.entangled is None:
-        raise CalibrationError(f"1 + kappa2 rounds to 1 at kappa2 = {_fmt(stats.kappa2)}: "
-                               "the bound cannot tell the light from shot noise")
-    if not stats.calibration_ok:
-        raise CalibrationError(
-            f"var1 = {stats.var1:.4f} deviates from 1 + kappa^2 = "
-            f"{1.0 + stats.kappa2:.4f} by more than 5 standard errors")
-    return stats.entangled
 
 
 def duan_spin_check(varsum_y: float, varsum_z: float, j_x: float) -> bool:
@@ -381,8 +360,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 def summary_text(stats: CycleStats) -> str:
     """Flat key-value block describing one run; no verdict without calibration."""
-    undetermined = stats.entangled is None or not stats.calibration_ok
-    verdict = "undetermined" if undetermined else str(stats.entangled).lower()
+    verdict = "undetermined" if stats.entangled is None else str(stats.entangled).lower()
     lines = [
         f"n = {stats.n}",
         f"kappa2 = {_fmt(stats.kappa2)}",
@@ -392,7 +370,7 @@ def summary_text(stats: CycleStats) -> str:
         f"alpha_star = {_fmt(stats.alpha_star)}",
         f"cond_var = {_fmt(stats.cond_var)}",
         *([f"atomic_var = {_fmt(stats.atomic_var_inferred)}"]
-          if stats.entangled is not None else []),
+          if 1.0 + stats.kappa2 > 1.0 else []),
         f"calibration = {'ok' if stats.calibration_ok else 'failed'}",
         f"entangled = {verdict}",
     ]

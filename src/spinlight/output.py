@@ -11,9 +11,10 @@ rows in numpy, in the manner of Ryu printf: each value ``x`` becomes the
 with a hi + lo table of powers of ten; ``k`` comes from ``log10``.  The
 product is good to about 1e-14, so a rounding it cannot certify goes through
 `_fmt` instead: a fraction within 1e-9 of one half (an exact decimal tie is
-possible there), or within 1e-9 of an integer at either end of
-``[1e16, 1e17)``.  So do values whose product falls outside that range (the
-``log10`` estimate is one off next to a power of ten), non-finite values and
+possible there).  Elsewhere the nearest integer is certain, even at the ends
+of ``[1e16, 1e17)``, where a ``k`` one off prints the same digits.  Values
+whose product falls outside that range (the ``log10`` estimate is one off
+next to a power of ten) go through `_fmt` too, as do non-finite values and
 values outside ``1e-99 <= |x| < 1e99``.  The bytes are those of ``_fmt``
 either way.
 """
@@ -115,7 +116,6 @@ def _format_rows(block: np.ndarray) -> bytes:
     d[carry] = _E16
     k += carry
     fallback = ~zero & (~direct | (n < _E16) | (n >= _E17) | (np.abs(f - 0.5) < 1e-9)
-                        | ((np.minimum(f, 1 - f) < 1e-9) & ((n == _E16) | (n == _E17 - 1)))
                         | (np.abs(k) > _K_MAX))
     unprinted = zero | fallback
     d[unprinted] = 0

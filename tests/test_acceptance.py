@@ -16,7 +16,6 @@ from linear_oracle import swap_duan_sum, teleport_mean_fidelity
 from spinlight import cli, experiment
 from spinlight.experiment import (
     engine_conditioned_duan,
-    entanglement_verdict,
     stream_cycle_stats,
     theory_curves,
 )
@@ -87,7 +86,7 @@ def test_criterion_04_headline_noise_reduction():
 def test_criterion_05_low_coupling_entanglement():
     kappa2, beta = 0.5, 0.65
     stats = stream_cycle_stats(kappa2, beta, N_CYCLES, seed=505)
-    assert entanglement_verdict(stats) is True
+    assert stats.entangled is True
     margin = (1.0 + kappa2) - stats.cond_var
     se = stats.cond_var / np.sqrt(stats.n)
     assert margin >= 3.0 * se

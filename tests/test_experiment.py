@@ -4,23 +4,22 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
-    CalibrationError,
     _stats,
     density_sweep,
     duan_spin_check,
     engine_conditioned_duan,
-    entanglement_verdict,
     stream_cycle_stats,
     summary_text,
     theory_curves,
     write_sweep_csv,
 )
+from spinlight.gaussian import apply_beta_decay, apply_qnd, vacuum_state
 from spinlight.output import CSV_BLOCK_ROWS, write_csv
 from spinlight.physics import kappa2_experimental
 
@@ -249,30 +248,47 @@ class TestTheoryCurves:
 class TestVerdict:
     def test_entangled_ideal(self):
         stats = stream_cycle_stats(1.0, 1.0, N, seed=17)
-        assert entanglement_verdict(stats) is True
+        assert stats.entangled is True
 
     def test_low_coupling_with_decoherence(self):
         stats = stream_cycle_stats(0.5, 0.65, N, seed=18)
-        assert entanglement_verdict(stats) is True
+        assert stats.entangled is True
 
     def test_calibration_failure_withholds_verdict(self):
         stats = miscalibrated_stats(N)
-        assert not stats.calibration_ok
-        with pytest.raises(CalibrationError):
-            entanglement_verdict(stats)
+        assert not stats.calibration_ok and stats.entangled is None
 
     def test_zero_coupling_withholds_verdict(self):
         stats = stream_cycle_stats(0.0, 1.0, 1000, seed=1)
         assert stats.calibration_ok and stats.entangled is None
-        with pytest.raises(CalibrationError):
-            entanglement_verdict(stats)
         assert "entangled = undetermined" in summary_text(stats)
 
     def test_coupling_below_the_bound_resolution_withholds_verdict(self):
         stats = stream_cycle_stats(1e-300, 1.0, 1000, seed=1)
         assert stats.calibration_ok and stats.entangled is None
-        with pytest.raises(CalibrationError):
-            entanglement_verdict(stats)
+
+    @given(st.one_of(st.just(0.0), st.floats(1e-300, 1e-16), st.floats(1e-3, 1e3)),
+           st.integers(2, 10**9), st.floats(-4.0, 4.0), st.floats(-0.99, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_is_decided_once(self, kappa2, n, r, rho):
+        """_stats of a Gram matrix (n - 1) Sigma whose first-pulse variance is
+        r calibration widths off 1 + kappa2: no verdict where |r| > 1 or where
+        1 + kappa2 rounds to 1, and summary_text prints exactly that verdict."""
+        bound = 1.0 + kappa2
+        var1 = bound * (1.0 + r * 5.0 / np.sqrt(n - 1))
+        assume(var1 > 0.05 * bound and abs(abs(r) - 1.0) > 1e-6)
+        h = var1 / 2.0
+        g = rho * h
+        sigma = np.array([[h, 0, g, 0], [0, h, 0, g], [g, 0, h, 0], [0, g, 0, h]])
+        stats = _stats((n - 1) * sigma, n, kappa2, 1.0)
+        assert stats.calibration_ok == (abs(r) < 1.0)
+        if abs(r) > 1.0 or bound == 1.0:
+            assert stats.entangled is None
+        else:
+            assert stats.entangled == (stats.cond_var < bound)
+        text = summary_text(stats)
+        assert ("entangled = undetermined" in text) == (stats.entangled is None)
+        assert ("atomic_var = " in text) == (bound > 1.0)
 
     @pytest.mark.parametrize("kappa2,n", [(1e16, 100), (1e16, 10_000), (1e306, 100)])
     def test_cond_var_below_its_rounding_refused(self, kappa2, n):
@@ -326,6 +342,22 @@ class TestEngineAgreement:
         exact = engine_conditioned_duan(kappa2, beta)
         se = stats.cond_var / np.sqrt(N) / kappa2
         assert stats.atomic_var_inferred == pytest.approx(exact, abs=5 * se)
+
+    @pytest.mark.parametrize("kappa2,beta", [(1.0, 0.65), (0.5, 1.0), (4.0, 0.0),
+                                             (1e-3, 0.3), (100.0, 0.9), (0.0, 0.5)])
+    def test_outcome_covariance_is_the_engines(self, kappa2, beta):
+        """One channel with unmeasured probes (QND, decay, QND): the probes' X
+        block is the outcome covariance [[h, g], [g, h]] that _gram_draw and
+        linear_oracle.cycle_stat_laws use, h = (1 + kappa2)/2, g = kappa2 beta/2."""
+        kappa = float(np.sqrt(kappa2))
+        state = vacuum_state(3, ["pair", "probe1", "probe2"])
+        state = apply_qnd(state, "pair", "probe1", kappa)
+        state = apply_beta_decay(state, "pair", beta)
+        state = apply_qnd(state, "pair", "probe2", kappa)
+        probes = [state.x_index("probe1"), state.x_index("probe2")]
+        h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
+        error = np.abs(state.cov[np.ix_(probes, probes)] - [[h, g], [g, h]]).max()
+        assert error <= 2.0 * np.finfo(float).eps * h
 
     def test_engine_route_exact_values(self):
         assert engine_conditioned_duan(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -510,7 +542,7 @@ class TestOutputs:
 
     def test_failed_calibration_withholds_verdict(self):
         stats = miscalibrated_stats(N)
-        assert not stats.calibration_ok and stats.entangled
+        assert not stats.calibration_ok and stats.entangled is None
         text = summary_text(stats)
         assert "calibration = failed" in text
         assert "entangled = undetermined" in text

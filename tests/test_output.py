@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlight.output
 from spinlight.cli import main
 from spinlight.output import CSV_BLOCK_ROWS, _fmt, _format_rows, write_csv
 
@@ -161,6 +162,20 @@ class TestBlocks:
         path = tmp_path / "out.csv"
         write_csv(str(path), ("a", "b"), [])
         assert path.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("column", [np.arange(10**6), np.ones(3 * CSV_BLOCK_ROWS)],
+                             ids=["integers", "ones"])
+    def test_whole_numbers_stay_in_the_kernel(self, tmp_path, monkeypatch, column):
+        """Powers of ten and other integers are certified: none reaches `_fmt`."""
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return _fmt(value)
+
+        monkeypatch.setattr(spinlight.output, "_fmt", counted)
+        write_csv(str(tmp_path / "out.csv"), ("c",), [[column]])
+        assert calls == []
 
     def test_kernel_heap_per_value(self):
         """A full block of seven columns peaks at no more than 200 heap bytes per value."""
