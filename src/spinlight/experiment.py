@@ -215,18 +215,21 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     reduced as they arrive, so none is kept.
 
     With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
-    CSV as they arrive.  Raises ValueError when the outcome sums or the
-    statistics are not finite; for sums that overflow in the first chunk,
-    before `out` is opened.
+    CSV as they arrive.  Raises ValueError when _stats or _finite_sums refuses
+    the statistics or the outcome sums: for sums that overflow in the first
+    chunk, before `out` is opened; otherwise while it is open, so write_csv
+    removes it unless the path existed before the call.
     """
-    gram = 0
+    stats = None
 
     def blocks():
-        nonlocal gram
+        nonlocal stats
+        gram = 0
         for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel):
             with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_sums
                 gram = _finite_sums(gram + chunk_gram, kappa2)
             yield start, rows
+        stats = _stats(gram, n_cycles, kappa2, beta)  # refused while write_csv holds `out` open
 
     if out is None:
         for _ in blocks():
@@ -234,7 +237,7 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     else:
         write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"),
                   ((np.arange(start, start + len(rows)), *rows.T) for start, rows in blocks()))
-    return _stats(gram, n_cycles, kappa2, beta)
+    return stats
 
 
 def duan_spin_check(varsum_y: float, varsum_z: float, j_x: float) -> bool:

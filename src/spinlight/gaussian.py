@@ -87,8 +87,8 @@ def _new_state(labels: Sequence[str], mean: np.ndarray, cov: np.ndarray) -> Gaus
     return GaussianState(tuple(labels), mean, cov)
 
 
-def _auto_labels(n: int, start: int = 0) -> list[str]:
-    return [f"m{start + k}" for k in range(n)]
+def _auto_labels(n: int) -> list[str]:
+    return [f"m{k}" for k in range(n)]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -21,6 +21,7 @@ either way.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -196,11 +197,19 @@ def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[np.nda
     through float64, as ``"%.17g"`` does.  How the rows are split into
     blocks does not change the bytes.  Raises ValueError when a block's
     columns differ in length or in number from the header; for the first
-    block, before the file is opened.
+    block, before the file is opened.  Whatever raises once the file is open,
+    a block or its producer, removes the file, unless `path` existed before
+    the call (a user's file, a symlink, /dev/stdout).
     """
     text = _csv_text(header, blocks)
     first = next(text, b"")
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + first)
-        fh.writelines(text)
-        fh.write(b"\n")
+    created = not os.path.lexists(path)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode() + first)
+            fh.writelines(text)
+            fh.write(b"\n")
+    except BaseException:
+        if created and os.path.lexists(path):  # open itself may have failed
+            os.remove(path)
+        raise

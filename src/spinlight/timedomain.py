@@ -5,8 +5,8 @@ This module deliberately avoids the Gaussian covariance engine.  Only
 simulate_pulse integrates the two-cell rotating-frame equations step by step
 (Euler-Maruyama) and extracts the canonical light operators by multiplying
 the simulated photocurrent with cos/sin of the Larmor phase.  pulse_ensemble
-integrates nothing: it samples the exact law of the discretized pulse, whose
-covariance is pulse_covariance.  The tests close the chain: the Euler
+integrates nothing: it maps exact draws of the pulse's inputs through its linear
+map M, whose M D M^T is pulse_covariance.  The tests close the chain: the Euler
 integrator equals pulse_covariance to round-off at any resolution, and
 pulse_covariance equals the symplectic engine's at whole cycle counts.
 
@@ -60,21 +60,9 @@ class LockInResult:
     x_l2: float  # sin channel
 
 
-def _weights(omega_T: float, n_steps: int):
-    """Midpoint cos/sin samples and the exact discrete demodulation norms."""
-    dt = PULSE_MS / n_steps
-    t = (np.arange(n_steps) + 0.5) * dt
-    phase = (omega_T / PULSE_MS) * t
-    c, s = np.cos(phase), np.sin(phase)
-    norm_c = float(np.sum(c * c) * dt)
-    norm_s = float(np.sum(s * s) * dt)
-    return dt, c, s, norm_c, norm_s
-
-
 def _pulse(kappa: float, omega_T: float, n_steps: int):
-    """The set-up every kernel goes through: refuse what the scheme cannot
-    integrate or demodulate, then _weights' grid, the exact discrete sums (sum_cc,
-    sum_ss, sum_cs) and the read-out and back-action scales of the closed-over ensemble."""
+    """The set-up every kernel goes through: refuse what the scheme cannot integrate
+    or demodulate, then the grid: dt, the midpoint cos/sin samples and their exact norms."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     cycles = omega_T / (2.0 * np.pi)
@@ -83,12 +71,33 @@ def _pulse(kappa: float, omega_T: float, n_steps: int):
         raise ValueError(
             f"n_steps={n_steps} under-resolves the Larmor precession; "
             f"need >= {STEPS_PER_CYCLE} steps per cycle ({cycles:.1f} cycles)")
-    dt, c, s, norm_c, norm_s = _weights(omega_T, n_steps)
+    dt = PULSE_MS / n_steps
+    t = (np.arange(n_steps) + 0.5) * dt
+    phase = (omega_T / PULSE_MS) * t
+    c, s = np.cos(phase), np.sin(phase)
+    norm_c = float(np.sum(c * c) * dt)
+    norm_s = float(np.sum(s * s) * dt)
     if not (norm_c > 0 and norm_s > 0):
         raise ValueError(f"omega_T={omega_T} leaves a lock-in channel with no weight")
-    sums = norm_c / dt, norm_s / dt, float(np.sum(c * s))
-    scales = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt, kappa * np.sqrt(dt / PULSE_MS)
-    return dt, c, s, norm_c, norm_s, sums, scales
+    return dt, c, s, norm_c, norm_s
+
+
+def _pulse_map(kappa: float, omega_T: float, n_steps: int):
+    """M, the pulse's linear map from its inputs to a row, and the Gram matrix of (c, s)."""
+    dt, c, s, norm_c, norm_s = _pulse(kappa, omega_T, n_steps)
+    sum_cc, sum_ss, sum_cs = norm_c / dt, norm_s / dt, float(np.sum(c * s))
+    atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt  # read-out of the spin sums
+    drive_scale = kappa * np.sqrt(dt / PULSE_MS)  # back-action on the spin differences
+    gram = np.array([[sum_cc, sum_cs], [sum_cs, sum_ss]])
+    m = np.zeros((6, 8))  # inputs: xa1 pa1 xa2 pa2, xi.c xi.s, zeta.c zeta.s
+    # spin sums are constant, so the demodulated atomic terms close over
+    # the exact discrete sums
+    m[:2, [1, 3]] = atomic_scale * gram
+    m[:2, 4:6] = np.sqrt(0.5 * dt) * np.eye(2)
+    m[:2] /= np.sqrt([[norm_c], [norm_s]])
+    m[2:, :4] = np.eye(4)
+    m[2, 6], m[4, 7] = drive_scale, -drive_scale
+    return m, gram
 
 
 def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
@@ -100,7 +109,7 @@ def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
     (X_A1, P_A1, X_A2, P_A2).  Returns the full trace (for conservation and
     dump purposes) plus the demodulated light outputs.
     """
-    dt, c, s, norm_c, norm_s, _, _ = _pulse(kappa, omega_T, n_steps)
+    dt, c, s, norm_c, norm_s = _pulse(kappa, omega_T, n_steps)
     xa1, pa1, xa2, pa2 = (float(v) for v in atoms_in)
 
     # Per-cell canonical-normalized transverse components.
@@ -151,29 +160,19 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
 
     Returns an array of shape (n_runs, 6) with columns
     (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), drawn in the seeded
-    chunks of spinlight.chunks, serially.  Each run's noise projections are
-    drawn from their exact law (see pulse_covariance), at O(1) cost per run.
+    chunks of spinlight.chunks, serially.  Each row is [atoms, L z] @ M^T, with
+    L L^T the noise's Gram matrix (see pulse_covariance): O(1) cost per run.
     """
-    dt, _, _, norm_c, norm_s, (sum_cc, sum_ss, sum_cs), (atomic_scale, drive_scale) = \
-        _pulse(kappa, omega_T, n_steps)
-    l11, l21 = np.sqrt(sum_cc), sum_cs / np.sqrt(sum_cc)  # G = L L^T, G the Gram matrix of (c, s)
-    l22 = np.sqrt(max(sum_ss - l21**2, 0.0))
+    m, gram = _pulse_map(kappa, omega_T, n_steps)
+    l11, l21 = np.sqrt(gram[0, 0]), gram[0, 1] / np.sqrt(gram[0, 0])  # gram = L L^T
+    l22 = np.sqrt(max(gram[1, 1] - l21**2, 0.0))  # gram is singular at n_steps = 1
 
-    def chunk(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
-        atoms = np.sqrt(0.5) * rng.standard_normal((m, 4))  # xa1 pa1 xa2 pa2
-        sums = rng.standard_normal((4, m))  # L z per pair: xi @ (c, s), zeta @ (c, s) ~ N(0, G)
-        sums[1::2] = l21 * sums[0::2] + l22 * sums[1::2]
-        sums[0::2] *= l11
-
-        shot_c, shot_s = np.sqrt(0.5 * dt) * sums[:2]
-        # spin sums are constant, so the demodulated atomic terms close over
-        # the exact discrete sums
-        atom_c = atomic_scale * (atoms[:, 1] * sum_cc + atoms[:, 3] * sum_cs)
-        atom_s = atomic_scale * (atoms[:, 1] * sum_cs + atoms[:, 3] * sum_ss)
-        return np.column_stack([(shot_c + atom_c) / np.sqrt(norm_c),
-                                (shot_s + atom_s) / np.sqrt(norm_s),
-                                atoms[:, 0] + drive_scale * sums[2], atoms[:, 1],
-                                atoms[:, 2] - drive_scale * sums[3], atoms[:, 3]])
+    def chunk(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
+        atoms = np.sqrt(0.5) * rng.standard_normal((count, 4))  # xa1 pa1 xa2 pa2
+        noise = rng.standard_normal((4, count))  # L z ~ N(0, gram): xi.c xi.s, zeta.c zeta.s
+        noise[1::2] = l21 * noise[0::2] + l22 * noise[1::2]
+        noise[0::2] *= l11
+        return np.hstack([atoms, noise.T]) @ m.T
 
     return np.concatenate(list(chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed)))
 
@@ -187,15 +186,7 @@ def pulse_covariance(kappa: float, omega_T: float, n_steps: int) -> np.ndarray:
     of Larmor cycles it equals the symplectic engine's to round-off at any
     resolution; otherwise the difference is discretization alone.
     """
-    dt, _, _, norm_c, norm_s, (sum_cc, sum_ss, sum_cs), (atomic_scale, drive_scale) = \
-        _pulse(kappa, omega_T, n_steps)
-    gram = np.array([[sum_cc, sum_cs], [sum_cs, sum_ss]])
-    m = np.zeros((6, 8))  # inputs: xa1 pa1 xa2 pa2, xi.c xi.s, zeta.c zeta.s
-    m[:2, [1, 3]] = atomic_scale * gram
-    m[:2, 4:6] = np.sqrt(0.5 * dt) * np.eye(2)
-    m[:2] /= np.sqrt([[norm_c], [norm_s]])
-    m[2:, :4] = np.eye(4)
-    m[2, 6], m[4, 7] = drive_scale, -drive_scale
+    m, gram = _pulse_map(kappa, omega_T, n_steps)
     d = np.zeros((8, 8))
     d[:4, :4] = 0.5 * np.eye(4)
     d[4:, 4:] = np.kron(np.eye(2), gram)

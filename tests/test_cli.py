@@ -157,6 +157,33 @@ class TestRun:
         assert "not finite" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ("--kappa2", "1e-320", "--cycles", "100"),  # _stats refuses after the last row
+        ("--kappa2", "6e304", "--cycles", "8192")])  # the sums overflow in chunk 1, after chunk 0
+    def test_refused_run_leaves_no_csv(self, capsys, tmp_path, argv, workers):
+        path = tmp_path / "cycles.csv"
+        code, out, err = run_cli(capsys, "run", *argv, "--parallel", workers, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["file", "symlink", "dangling symlink"])
+    def test_refused_run_keeps_a_path_that_existed(self, capsys, tmp_path, kind):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if kind != "dangling symlink":
+            target.write_text("a user's file\n")
+        if kind != "file":
+            link.symlink_to(target)
+        path = target if kind == "file" else link
+        code, _, err = run_cli(capsys, "run", "--kappa2", "1e-320", "--cycles", "100",
+                               "--out", str(path))
+        assert code == 1
+        assert "not finite" in err
+        assert os.path.lexists(path)
+        assert path.is_symlink() == (kind != "file")
+
     def test_non_finite_statistics_refused(self, capsys):
         # finite sums, but var1 = (S_a1 + S_b1) / (n - 1) overflows
         code, out, err = run_cli(capsys, "run", "--kappa2", "3e306", "--cycles", "100")

@@ -140,9 +140,10 @@ class TestShapeChecks:
     @pytest.mark.parametrize("bad", [[np.arange(2.0)], [np.arange(2.0), np.arange(3.0)],
                                      [np.arange(2.0), np.ones((2, 1))]])
     def test_malformed_later_block_rejected(self, tmp_path, bad):
+        path = tmp_path / "out.csv"
         with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "out.csv"), ("a", "b"),
-                      [[np.arange(3.0), np.arange(3.0)], bad])
+            write_csv(str(path), ("a", "b"), [[np.arange(3.0), np.arange(3.0)], bad])
+        assert not path.exists()  # the file it had opened is removed
 
 
 class TestBlocks:
