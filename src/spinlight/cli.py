@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import experiment, gaussian, physics, protocols, timedomain
-from .output import _fmt, write_csv
+from .output import _fmt, open_output, write_csv
 
 DEFAULT_THETA_GRID = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
 
@@ -116,8 +116,12 @@ def read_config(path: str) -> dict:
 
 
 def write_config(config: RunConfig, path: str) -> None:
-    """Emit a config file that read_config parses back to the same run."""
-    with open(path, "w") as fh:
+    """Emit a config file that read_config parses back to the same run.
+
+    Raises ValueError for a string that read_config would read back
+    differently: one holding '#' or a line break, or with surrounding blanks.
+    """
+    with open_output(path, "w") as fh:
         for f in fields(config):
             value = getattr(config, f.name)
             if value is None:
@@ -126,6 +130,9 @@ def write_config(config: RunConfig, path: str) -> None:
                 value = ",".join(map(_fmt, value))
             elif isinstance(value, float):
                 value = _fmt(value)
+            elif isinstance(value, str) and (value != value.strip()
+                                             or any(c in value for c in "#\r\n")):
+                raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
             fh.write(f"{f.name} = {value}\n")
 
 

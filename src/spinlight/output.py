@@ -1,4 +1,5 @@
-"""Exact text output: the one real-number format and the one CSV writer.
+"""Exact text output: the one real-number format, the one CSV writer, and
+`open_output`, which opens every output file so that a raise leaves it as it was.
 
 Reals carry 17 significant digits, so every printed or written value parses
 back to the same float.  Integers go through the same format and print as
@@ -21,8 +22,10 @@ either way.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Iterable, Iterator, Sequence
+import stat
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,6 +193,41 @@ def _csv_text(header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> 
             yield _format_rows(block)
 
 
+@contextlib.contextmanager
+def open_output(path: str, mode: str = "wb") -> Iterator[IO]:
+    """Open `path` for writing, so that anything raised leaves it as it was.
+
+    A new path or a regular file is written to a new file beside it, which
+    replaces it on success and is removed on anything raised.  A new file
+    gets the mode that ``open`` gives it, a replaced one keeps its mode.  A
+    symlink, /dev/stdout, a FIFO or a device is written in place.
+    """
+    try:
+        target = os.lstat(path)
+    except FileNotFoundError:
+        target = None
+    if target is not None and not stat.S_ISREG(target.st_mode):
+        with open(path, mode) as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the path that was asked for
+        raise
+    try:
+        with os.fdopen(fd, mode) as fh:
+            if target is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(target.st_mode))
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
     """Write `header`, then the rows of each block of equal-length 1-D columns.
 
@@ -197,19 +235,13 @@ def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[np.nda
     through float64, as ``"%.17g"`` does.  How the rows are split into
     blocks does not change the bytes.  Raises ValueError when a block's
     columns differ in length or in number from the header; for the first
-    block, before the file is opened.  Whatever raises once the file is open,
-    a block or its producer, removes the file, unless `path` existed before
-    the call (a user's file, a symlink, /dev/stdout).
+    block, before the file is opened.  The file is opened with
+    `open_output`, so whatever raises once it is open, a block or its
+    producer, leaves `path` as it was, unless `path` is a symlink or a device.
     """
     text = _csv_text(header, blocks)
     first = next(text, b"")
-    created = not os.path.lexists(path)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(",".join(header).encode() + first)
-            fh.writelines(text)
-            fh.write(b"\n")
-    except BaseException:
-        if created and os.path.lexists(path):  # open itself may have failed
-            os.remove(path)
-        raise
+    with open_output(path) as fh:
+        fh.write(",".join(header).encode() + first)
+        fh.writelines(text)
+        fh.write(b"\n")

@@ -142,6 +142,18 @@ def conditioned_atom_cov(kappa: float) -> np.ndarray:
     return cov[np.ix_(atom, atom)] - np.outer(gain, cov[xl, atom])
 
 
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Sorted symplectic spectrum of a covariance; all 1/2 for a pure state.
+
+    The moduli of the eigenvalues of i Omega cov, each kept once.  The
+    nonsymmetric solver loses digits with cov's condition number, so this
+    is for the small squeezing of the tests.
+    """
+    cov = np.asarray(cov, float)
+    omega = np.kron(np.eye(len(cov) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))[::2]
+
+
 def cycle_stat_laws(kappa2: float, beta: float, n: int) -> dict[str, tuple[float, float]]:
     """Exact (mean, variance) of var1, cond_var and alpha_star over n cycles.
 

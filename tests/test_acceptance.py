@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from linear_oracle import swap_duan_sum, teleport_mean_fidelity
+from linear_oracle import swap_duan_sum, symplectic_eigenvalues, teleport_mean_fidelity
 
 from spinlight import cli, experiment
 from spinlight.experiment import (
@@ -23,7 +23,6 @@ from spinlight.gaussian import (
     apply_qnd,
     displace,
     measure_x,
-    symplectic_eigenvalues,
     symplectic_form,
     vacuum_state,
 )
@@ -152,7 +151,7 @@ def test_criterion_09_invariant_suites():
         _, post = measure_x(state, 1, np.random.default_rng(1))
         product = post.variance(0, "x") * post.variance(0, "p")
         assert product == pytest.approx(0.25, abs=1e-10)
-        assert np.allclose(symplectic_eigenvalues(post), 0.5, atol=1e-10)
+        assert np.allclose(symplectic_eigenvalues(post.cov), 0.5, atol=1e-10)
 
     state = apply_qnd(vacuum_state(2), 0, 1, 1.0)
     rng = np.random.default_rng(2)

@@ -183,6 +183,24 @@ class TestRun:
         assert "not finite" in err
         assert os.path.lexists(path)
         assert path.is_symlink() == (kind != "file")
+        if kind == "file":  # written beside it: the rows never reach the user's file
+            assert target.read_text() == "a user's file\n"
+        # no temporary file is left; a symlink is written in place, creating its target
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["target.csv"] if kind == "file" else ["link.csv", "target.csv"])
+
+    def test_out_to_a_pipe_writes_the_csv_then_the_summary(self, tmp_path):
+        # /dev/stdout is a symlink, so it is written in place, not replaced
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "spinlight.cli", "run", "--kappa2", "1", "--cycles", "100"]
+        env = dict(os.environ, PYTHONPATH=path)
+        to_file = subprocess.run([*argv, "--out", str(tmp_path / "c.csv")], env=env,
+                                 capture_output=True, timeout=60)
+        to_pipe = subprocess.run([*argv, "--out", "/dev/stdout"], env=env,
+                                 capture_output=True, timeout=60)
+        assert to_file.returncode == to_pipe.returncode == 0
+        assert to_pipe.stdout == (tmp_path / "c.csv").read_bytes() + to_file.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
 
     def test_non_finite_statistics_refused(self, capsys):
         # finite sums, but var1 = (S_a1 + S_b1) / (n - 1) overflows
@@ -517,6 +535,16 @@ class TestConfig:
         write_config(config, str(path))
         reparsed = RunConfig(**read_config(str(path)))
         assert reparsed == config
+
+    @pytest.mark.parametrize("out", ["runs#1.csv", "runs\n.csv", "a.csv\r", " a.csv"])
+    def test_strings_that_would_not_read_back_refused(self, tmp_path, out):
+        # "out = runs#1.csv" read back as "runs": '#' starts a comment
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\n")
+        with pytest.raises(ValueError, match="would not read back"):
+            write_config(RunConfig(out=out), str(path))
+        assert path.read_text() == "seed = 3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_flags_override_file(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"

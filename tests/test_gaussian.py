@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linear_oracle import conditioned_atom_cov, qnd_output_cov
+from linear_oracle import conditioned_atom_cov, qnd_output_cov, symplectic_eigenvalues
 
 from spinlight.gaussian import (
     GaussianState,
@@ -19,7 +19,6 @@ from spinlight.gaussian import (
     duan_sum,
     measure_x,
     rotate,
-    symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeeze,
     vacuum_state,
@@ -38,7 +37,7 @@ class TestVacuum:
 
     def test_symplectic_spectrum_is_half(self):
         state = vacuum_state(3)
-        assert np.allclose(symplectic_eigenvalues(state), 0.5, atol=1e-12)
+        assert np.allclose(symplectic_eigenvalues(state.cov), 0.5, atol=1e-12)
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +109,7 @@ class TestQnd:
     def test_symplectic_for_any_kappa(self, kappa):
         out = apply_qnd(vacuum_state(2), 0, 1, kappa)
         # purity: symplectic map keeps the vacuum spectrum at 1/2
-        assert np.allclose(symplectic_eigenvalues(out), 0.5,
+        assert np.allclose(symplectic_eigenvalues(out.cov), 0.5,
                            atol=1e-10 * max(1.0, kappa**2))
 
 
@@ -153,7 +152,7 @@ class TestMeasure:
     def test_purity_preserved(self, kappa):
         state = apply_qnd(vacuum_state(2), 0, 1, kappa)
         _, post = measure_x(state, 1, np.random.default_rng(2))
-        assert np.allclose(symplectic_eigenvalues(post), 0.5, atol=1e-10)
+        assert np.allclose(symplectic_eigenvalues(post.cov), 0.5, atol=1e-10)
 
     def test_degenerate_marginal_is_deterministic(self):
         # X pinned at 0.75 with zero variance, P carrying the uncertainty
@@ -215,7 +214,7 @@ class TestBetaDecay:
         state = apply_qnd(vacuum_state(2), 0, 1, kappa)
         _, state = measure_x(state, 1, np.random.default_rng(0))
         state = apply_beta_decay(state, 0, beta)
-        validate(state, atol=1e-9)
+        validate(state)
 
 
 def _entangled_pair(kappa: float) -> "GaussianState":
@@ -294,6 +293,32 @@ class TestHelpers:
         with pytest.raises(InvariantViolation):
             validate(bad)
         validate(vacuum_state(3))
+
+    @pytest.mark.parametrize("r", [4.0, 6.0, 10.0, 12.0])
+    def test_validate_passes_deep_two_mode_squeezing(self, r):
+        # the nonsymmetric spectrum of i Omega sigma read nu = 0.49999999971 at
+        # r = 4 and 0.0 at r = 10, and refused these pure states
+        validate(two_mode_squeeze(vacuum_state(2), 0, 1, r))
+
+    @given(st.floats(0.0, 40.0), st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi),
+           st.sampled_from([None, 0, 1]), st.floats(0.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_validate_passes_squeezed_rotated_and_coupled_states(self, r, phi0, phi1,
+                                                                 coupled, kappa):
+        # lowest eigenvalue / (eps 2n max|sigma|) stayed above -0.81 in 3000 draws
+        state = two_mode_squeeze(vacuum_state(3), 0, 1, r)
+        state = rotate(rotate(state, 0, phi0), 1, phi1)
+        if coupled is not None:
+            state = apply_qnd(state, coupled, 2, kappa)
+        validate(state)
+
+    @given(st.floats(1e-12, 0.5))
+    @example(1e-12)  # lowest eigenvalue / (eps 2n max|sigma|) reads -1126; the bound is -4
+    @settings(max_examples=100, deadline=None)
+    def test_validate_refuses_a_shrunk_vacuum(self, delta):
+        shrunk = GaussianState(("m0", "m1"), np.zeros(4), 0.5 * (1 - delta) * np.eye(4))
+        with pytest.raises(InvariantViolation, match="eigenvalue"):
+            validate(shrunk)
 
     def test_add_vacuum_modes_keeps_block(self):
         state = apply_qnd(vacuum_state(2), 0, 1, 1.0)

@@ -7,6 +7,7 @@ cannot certify through `_fmt`.  Every test compares its bytes with
 
 import hashlib
 import math
+import stat
 import tracemalloc
 from fractions import Fraction
 
@@ -144,6 +145,32 @@ class TestShapeChecks:
         with pytest.raises(ValueError):
             write_csv(str(path), ("a", "b"), [[np.arange(3.0), np.arange(3.0)], bad])
         assert not path.exists()  # the file it had opened is removed
+
+
+class TestOutputFile:
+    def test_refusal_leaves_an_existing_file_and_a_write_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o640)
+        with pytest.raises(ValueError):
+            write_csv(str(path), ("a",), [[np.arange(3.0)], [np.ones((2, 1))]])
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]  # the file beside it is removed
+        write_csv(str(path), ("a",), [[np.arange(2.0)]])
+        assert path.read_bytes() == b"a\n0\n1\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "reference", "wb"):
+            pass
+        write_csv(str(tmp_path / "out.csv"), ("a",), [])
+        assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_a_missing_directory_names_the_path_asked_for(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.csv")
+        with pytest.raises(FileNotFoundError) as raised:
+            write_csv(path, ("a",), [])
+        assert raised.value.filename == path
 
 
 class TestBlocks:
