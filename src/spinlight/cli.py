@@ -121,19 +121,21 @@ def write_config(config: RunConfig, path: str) -> None:
     Raises ValueError for a string that read_config would read back
     differently: one holding '#' or a line break, or with surrounding blanks.
     """
-    with open_output(path, "w") as fh:
-        for f in fields(config):
-            value = getattr(config, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(map(_fmt, value))
-            elif isinstance(value, float):
-                value = _fmt(value)
-            elif isinstance(value, str) and (value != value.strip()
-                                             or any(c in value for c in "#\r\n")):
-                raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
-            fh.write(f"{f.name} = {value}\n")
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(map(_fmt, value))
+        elif isinstance(value, float):
+            value = _fmt(value)
+        elif isinstance(value, str) and (value != value.strip()
+                                         or any(c in value for c in "#\r\n")):
+            raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
+        lines.append(f"{f.name} = {value}\n")
+    with open_output(path) as fh:
+        fh.write("".join(lines).encode())
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:

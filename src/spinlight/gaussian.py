@@ -299,12 +299,14 @@ def coherent_fidelity(state: GaussianState, mode: ModeRef, target_x, target_p):
 def validate(state: GaussianState) -> None:
     """Assert symmetry and the uncertainty relation sigma + i Omega / 2 >= 0.
 
-    Raises InvariantViolation.  By Weyl's inequality, rounding sigma moves the
+    Raises InvariantViolation, also for a NaN or infinite entry.  By Weyl's inequality, rounding sigma moves the
     Hermitian spectrum by about eps 2n max|sigma| at most, so the lowest
     eigenvalue is refused only below -4 times that.  This is a diagnostic
     hook: operations never auto-correct a failing state.
     """
     scale = float(np.max(np.abs(state.cov)))
+    if not np.isfinite(scale):
+        raise InvariantViolation(f"covariance is not finite: max|sigma| = {scale}")
     asym = np.max(np.abs(state.cov - state.cov.T))
     if asym > 1e-12 * max(1.0, scale):
         raise InvariantViolation(f"covariance asymmetry {asym:.3e}")

@@ -194,22 +194,25 @@ def _csv_text(header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> 
 
 
 @contextlib.contextmanager
-def open_output(path: str, mode: str = "wb") -> Iterator[IO]:
-    """Open `path` for writing, so that anything raised leaves it as it was.
+def open_output(path: str) -> Iterator[IO[bytes]]:
+    """Open `path` for binary writing, so that anything raised leaves it as it was.
 
     A new path or a regular file is written to a new file beside it, which
-    replaces it on success and is removed on anything raised.  A new file
-    gets the mode that ``open`` gives it, a replaced one keeps its mode.  A
-    symlink, /dev/stdout, a FIFO or a device is written in place.
+    replaces it on success and is removed on anything raised.  An existing
+    file must itself be writable, as for ``open``; it keeps its mode.  A new
+    file gets the mode that ``open`` gives it.  A symlink, /dev/stdout, a
+    FIFO or a device is written in place.
     """
     try:
         target = os.lstat(path)
     except FileNotFoundError:
         target = None
     if target is not None and not stat.S_ISREG(target.st_mode):
-        with open(path, mode) as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
+    if target is not None:
+        os.close(os.open(path, os.O_WRONLY))  # refuse what open(path, "wb") would; no truncation
     head, name = os.path.split(path)
     temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
@@ -218,7 +221,7 @@ def open_output(path: str, mode: str = "wb") -> Iterator[IO]:
         exc.filename = path  # name the path that was asked for
         raise
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             if target is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(target.st_mode))
             yield fh

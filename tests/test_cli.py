@@ -189,6 +189,19 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["target.csv"] if kind == "file" else ["link.csv", "target.csv"])
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_file_refused(self, capsys, tmp_path):
+        # the directory is writable, so only the file's own mode can refuse the write
+        path = tmp_path / "locked.csv"
+        path.write_text("a user's file\n")
+        path.chmod(0o444)
+        code, out, err = run_cli(capsys, "run", "--kappa2", "1", "--cycles", "100",
+                                 "--out", str(path))
+        assert code == 2
+        assert err.startswith("i/o error: ")
+        assert path.read_text() == "a user's file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["locked.csv"]
+
     def test_out_to_a_pipe_writes_the_csv_then_the_summary(self, tmp_path):
         # /dev/stdout is a symlink, so it is written in place, not replaced
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)

@@ -320,6 +320,14 @@ class TestHelpers:
         with pytest.raises(InvariantViolation, match="eigenvalue"):
             validate(shrunk)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_validate_refuses_a_non_finite_covariance(self, entry):
+        # eigvalsh does not check for NaN or inf, and a NaN fails every comparison
+        cov = 0.5 * np.eye(4)
+        cov[1, 1] = entry
+        with pytest.raises(InvariantViolation, match="not finite"):
+            validate(GaussianState(("m0", "m1"), np.zeros(4), cov))
+
     def test_add_vacuum_modes_keeps_block(self):
         state = apply_qnd(vacuum_state(2), 0, 1, 1.0)
         grown = add_vacuum_modes(state, ["extra"])
