@@ -118,21 +118,22 @@ def read_config(path: str) -> dict:
 def write_config(config: RunConfig, path: str) -> None:
     """Emit a config file that read_config parses back to the same run.
 
-    Raises ValueError for a string that read_config would read back
-    differently: one holding '#' or a line break, or with surrounding blanks.
+    Raises ValueError for a value that read_config would read back
+    differently: an empty tuple, or a string holding '#' or a line break, or
+    with surrounding blanks.
     """
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
         if value is None:
             continue
+        if value == () or isinstance(value, str) and (value != value.strip()
+                                                      or any(c in value for c in "#\r\n")):
+            raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
         if isinstance(value, tuple):
             value = ",".join(map(_fmt, value))
         elif isinstance(value, float):
             value = _fmt(value)
-        elif isinstance(value, str) and (value != value.strip()
-                                         or any(c in value for c in "#\r\n")):
-            raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
         lines.append(f"{f.name} = {value}\n")
     with open_output(path) as fh:
         fh.write("".join(lines).encode())

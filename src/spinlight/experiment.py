@@ -217,8 +217,9 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
     CSV as they arrive.  Raises ValueError when _stats or _finite_sums refuses
     the statistics or the outcome sums: for sums that overflow in the first
-    chunk, before `out` is opened; otherwise while it is open, so write_csv
-    removes it unless the path existed before the call.
+    chunk, before `out` is opened; otherwise while it is open, so that
+    `open_output` leaves `out` as it was: still absent, or an existing regular
+    file unchanged.  A symlink or a device is written in place.
     """
     stats = None
 

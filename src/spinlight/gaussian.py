@@ -73,6 +73,8 @@ class GaussianState:
         return self.cov[i:i + 2, i:i + 2].copy()
 
     def variance(self, mode: ModeRef, quadrature: str) -> float:
+        if quadrature.lower() not in ("x", "p"):
+            raise ValueError(f"quadrature must be 'x' or 'p', not {quadrature!r}")
         q = self.x_index(mode) if quadrature.lower() == "x" else self.p_index(mode)
         return float(self.cov[q, q])
 
@@ -85,10 +87,6 @@ def _new_state(labels: Sequence[str], mean: np.ndarray, cov: np.ndarray) -> Gaus
     if not (np.isfinite(cov).all() and np.isfinite(mean).all()):
         raise ValueError("the state's mean or covariance is not finite")
     return GaussianState(tuple(labels), mean, cov)
-
-
-def _auto_labels(n: int) -> list[str]:
-    return [f"m{k}" for k in range(n)]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -106,7 +104,7 @@ def vacuum_state(n_modes: int, labels: Sequence[str] | None = None,
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if labels is None:
-        labels = _auto_labels(n_modes)
+        labels = [f"m{k}" for k in range(n_modes)]
     elif len(labels) != n_modes:
         raise ValueError("labels length must equal n_modes")
     return _new_state(labels, np.zeros(tuple(batch) + (2 * n_modes,)),
@@ -116,8 +114,6 @@ def vacuum_state(n_modes: int, labels: Sequence[str] | None = None,
 def add_vacuum_modes(state: GaussianState, labels: Sequence[str]) -> GaussianState:
     """Tensor fresh vacuum modes onto the state (appended at the end)."""
     k = len(labels)
-    if k == 0:
-        return state
     n = state.n_modes
     mean = np.zeros(state.mean.shape[:-1] + (2 * (n + k),))
     mean[..., : 2 * n] = state.mean
@@ -136,6 +132,25 @@ def displace(state: GaussianState, mode: ModeRef, dx, dp) -> GaussianState:
     return _new_state(state.labels, mean, state.cov.copy())
 
 
+def _linear_map(state: GaussianState, block: np.ndarray, modes: Sequence[ModeRef],
+                noise: np.ndarray | None = None) -> GaussianState:
+    """mean -> X mean, cov -> X cov X^T (+ noise on the block of ``modes``), where X is
+    ``block`` on the (X, P) pairs of ``modes``, in order, and the identity elsewhere."""
+    idx = []
+    for m in modes:
+        i = state.x_index(m)
+        idx.extend((i, i + 1))
+    full = np.eye(2 * state.n_modes)
+    full[np.ix_(idx, idx)] = block
+    # one (runs, 2n) x (2n, 2n) product beats gathering the touched columns
+    with np.errstate(over="ignore", invalid="ignore"):  # _new_state refuses what overflows
+        mean = state.mean @ full.T
+        cov = full @ state.cov @ full.T
+    if noise is not None:
+        cov[np.ix_(idx, idx)] += noise
+    return _new_state(state.labels, mean, cov)
+
+
 def apply_symplectic(state: GaussianState, smat: np.ndarray,
                      modes: Sequence[ModeRef]) -> GaussianState:
     """Apply a symplectic matrix to the quadratures of the listed modes.
@@ -143,11 +158,6 @@ def apply_symplectic(state: GaussianState, smat: np.ndarray,
     ``smat`` is (2k, 2k) acting on the concatenated (X, P) pairs of ``modes``
     in the given order.  Raises if the matrix is not symplectic to 1e-10.
     """
-    idx = []
-    for m in modes:
-        i = state.x_index(m)
-        idx.extend((i, i + 1))
-    idx = np.asarray(idx)
     k = len(modes)
     smat = np.asarray(smat, float)
     if smat.shape != (2 * k, 2 * k):
@@ -162,14 +172,7 @@ def apply_symplectic(state: GaussianState, smat: np.ndarray,
         raise ValueError(f"matrix entries up to {size:.3g} overflow the symplectic check")
     if not error <= 1e-10 * max(1.0, scale):
         raise ValueError("matrix is not symplectic")
-
-    full = np.eye(2 * state.n_modes)
-    full[np.ix_(idx, idx)] = smat
-    # one (runs, 2n) x (2n, 2n) product beats gathering the touched columns
-    with np.errstate(over="ignore", invalid="ignore"):  # _new_state refuses what overflows
-        mean = state.mean @ full.T
-        cov = full @ state.cov @ full.T
-    return _new_state(state.labels, mean, cov)
+    return _linear_map(state, smat, modes)
 
 
 def apply_qnd(state: GaussianState, atom: ModeRef, light: ModeRef,
@@ -195,27 +198,19 @@ def measure_x(state: GaussianState, mode: ModeRef,
     The outcome is drawn from the Gaussian marginal; the remaining modes are
     conditioned with the standard linear-update / Schur-complement rule, so
     the post-measurement covariance depends only on the prior covariance.
-    A degenerate (zero-variance) marginal yields the exact outcome and a
-    deterministic update.  A batch of means draws one outcome per run, in
-    row order, from one ``rng.normal`` call.
+    A marginal var(X) that is not > 0 raises InvariantViolation (a physical
+    state has var(X) var(P) >= 1/4).  A batch of means draws one outcome per
+    run, in row order, from one ``rng.normal`` call.
     """
     im = state.index(mode)
     xq = 2 * im
     keep = [q for q in range(2 * state.n_modes) if q not in (xq, xq + 1)]
     var_m = float(state.cov[xq, xq])
+    if not var_m > 0:
+        raise InvariantViolation(f"marginal variance {var_m:.3g} of the measured X is not > 0")
     mu_m = state.mean[..., xq]
-    round_off = 1e-12 * max(1.0, float(np.max(np.abs(state.cov))))
-    if var_m < -round_off:
-        raise InvariantViolation("negative marginal variance")
-    var_m = max(var_m, 0.0)
-
-    if var_m > 0:
-        value = rng.normal(mu_m, np.sqrt(var_m))
-        gain = state.cov[keep, xq] / var_m
-    else:
-        value = mu_m[()]
-        gain = np.zeros(len(keep))
-
+    value = rng.normal(mu_m, np.sqrt(var_m))
+    gain = state.cov[keep, xq] / var_m
     mean = np.take(state.mean, keep, axis=-1)
     mean += np.multiply.outer(value - mu_m, gain)
     cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, state.cov[xq, keep])
@@ -226,23 +221,13 @@ def measure_x(state: GaussianState, mode: ModeRef,
 def apply_beta_decay(state: GaussianState, mode: ModeRef, beta: float) -> GaussianState:
     """Partial decay of one mode toward vacuum with survival amplitude beta.
 
-    mean -> beta * mean on the mode; its covariance block -> beta^2 * block
-    + (1 - beta^2) * vacuum; cross-covariances scale by beta.  beta = 1 is a
-    no-op, beta = 0 resets the mode to vacuum.  Applied to both quadratures
-    (trace-preserving Gaussian admixture channel).
+    The linear map beta * I on both quadratures of the mode, with the vacuum
+    admixture (1 - beta^2) * I / 2 added to its block: cross-covariances scale
+    by beta, beta = 1 is a no-op and beta = 0 resets the mode to vacuum.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    i = state.x_index(mode)
-    sel = [i, i + 1]
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    mean[..., sel] *= beta
-    cov[sel, :] *= beta
-    cov[:, sel] *= beta
-    # the block got beta^2; add the vacuum admixture
-    cov[np.ix_(sel, sel)] += (1.0 - beta**2) * VACUUM_VAR * np.eye(2)
-    return _new_state(state.labels, mean, cov)
+    return _linear_map(state, beta * np.eye(2), [mode], (1.0 - beta**2) * VACUUM_VAR * np.eye(2))
 
 
 def rotate(state: GaussianState, mode: ModeRef, phi: float) -> GaussianState:

@@ -549,13 +549,15 @@ class TestConfig:
         reparsed = RunConfig(**read_config(str(path)))
         assert reparsed == config
 
-    @pytest.mark.parametrize("out", ["runs#1.csv", "runs\n.csv", "a.csv\r", " a.csv"])
+    @pytest.mark.parametrize("out", ["runs#1.csv", "runs\n.csv", "a.csv\r", " a.csv", ()])
     def test_strings_that_would_not_read_back_refused(self, tmp_path, out):
-        # "out = runs#1.csv" read back as "runs": '#' starts a comment
+        # "out = runs#1.csv" read back as "runs": '#' starts a comment; an empty
+        # grid wrote "theta_grid = ", which read_config refuses
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n")
+        config = RunConfig(theta_grid=()) if out == () else RunConfig(out=out)
         with pytest.raises(ValueError, match="would not read back"):
-            write_config(RunConfig(out=out), str(path))
+            write_config(config, str(path))
         assert path.read_text() == "seed = 3\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
@@ -577,6 +579,9 @@ class TestConfig:
             read_config(str(path))
         path.write_text("cycles = not_a_number\n")
         with pytest.raises(ValueError):
+            read_config(str(path))
+        path.write_text("kappa2 2.0\n")
+        with pytest.raises(ValueError, match="expected 'key = value'"):
             read_config(str(path))
 
     def test_flag_set(self, tmp_path):
@@ -612,6 +617,23 @@ class TestConfig:
         assert code == 1
         code, _, _ = run_cli(capsys, "run", "--beta", "1.5")
         assert code == 1
+        assert run_cli(capsys, "run", "--parallel", "0") == (1, "", "error: parallel must be >= 1\n")
+        assert run_cli(capsys, "run", "--kappa2", "-1") == (1, "", "error: kappa2 must be >= 0\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("run", "--cycles", "abc"), "argument --cycles: invalid int value: 'abc'"),
+        (("run", "--no-such-flag"), "unrecognized arguments: --no-such-flag"),
+        (("flip",), "argument command: invalid choice: 'flip'"),
+        (("run", "--config", "{missing}"), "cannot read config: "),
+        (("run", "--config", "{no_equals}"), "{no_equals}:1: expected 'key = value'")],
+        ids=["bad-int", "unknown-flag", "unknown-command", "unreadable-config", "line-without-="])
+    def test_usage_errors_print_one_line(self, capsys, tmp_path, argv, message):
+        paths = {"missing": str(tmp_path / "missing.cfg"), "no_equals": str(tmp_path / "bad.cfg")}
+        (tmp_path / "bad.cfg").write_text("kappa2 2.0\n")
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message.format(**paths))
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("argv", [("run",), ("sweep",), ("timedomain",),
                                       ("protocol", "--protocol", "teleport")])

@@ -244,6 +244,10 @@ class TestTheoryCurves:
         cond, _ = theory_curves(1.449, 0.65)
         assert (cond - 1.0) / 1.449 == pytest.approx(0.75, abs=2e-5)
 
+    def test_beta_outside_unit_interval_refused(self):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+            theory_curves(1.0, 1.5)
+
 
 class TestVerdict:
     def test_entangled_ideal(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from linear_oracle import conditioned_atom_cov, qnd_output_cov, symplectic_eigenvalues
 
 from spinlight.gaussian import (
+    VACUUM_VAR,
     GaussianState,
     InvariantViolation,
     add_vacuum_modes,
@@ -50,6 +51,19 @@ class TestVacuum:
             state.index("missing")
         with pytest.raises(ValueError):
             state.index(5)
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError, match="labels length must equal n_modes"):
+            vacuum_state(2, ["atom"])
+
+    def test_variance_reads_x_or_p_in_either_case(self):
+        state = GaussianState(("m0",), np.zeros(2), np.diag([2.0, 3.0]))
+        assert state.variance(0, "x") == state.variance(0, "X") == 2.0
+        assert state.variance(0, "p") == state.variance(0, "P") == 3.0
+        # any other string read var(P)
+        for quadrature in ("y", "", "xp"):
+            with pytest.raises(ValueError, match="quadrature must be 'x' or 'p'"):
+                state.variance(0, quadrature)
 
 
 class TestDisplace:
@@ -154,12 +168,13 @@ class TestMeasure:
         _, post = measure_x(state, 1, np.random.default_rng(2))
         assert np.allclose(symplectic_eigenvalues(post.cov), 0.5, atol=1e-10)
 
-    def test_degenerate_marginal_is_deterministic(self):
-        # X pinned at 0.75 with zero variance, P carrying the uncertainty
-        state = GaussianState(("pin",), np.array([0.75, 0.0]),
-                              np.diag([0.0, 13.0]))
-        outcome, _ = measure_x(state, 0, np.random.default_rng(0))
-        assert outcome == 0.75
+    def test_non_positive_marginal_refused(self):
+        # var(X) var(P) >= 1/4 for every physical state, so no physical X marginal
+        # is 0: diag(0, 13) was once measured as a deterministic outcome
+        for var_x in (0.0, -1e-15):
+            state = GaussianState(("pin",), np.array([0.75, 0.0]), np.diag([var_x, 13.0]))
+            with pytest.raises(InvariantViolation, match="marginal variance .* is not > 0"):
+                measure_x(state, 0, np.random.default_rng(0))
 
     def test_conditional_mean_tracks_outcome(self):
         state = apply_qnd(vacuum_state(2, ["atom", "light"]), "atom", "light", 1.0)
@@ -207,6 +222,33 @@ class TestBetaDecay:
                 for b in (1.0, 0.9, 0.65, 0.3, 0.0)]
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(sums, sums[1:]))
 
+    @given(n=st.integers(1, 4), mode=st.integers(0, 3), runs=st.sampled_from([None, 1, 3]),
+           beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True,
+                                                        exclude_max=True),
+           product=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_and_column_scaling(self, n, mode, runs, beta, product, seed):
+        # a product state has exact zeros off its 2x2 blocks: there the two may
+        # differ in the sign of a zero, which == ignores
+        rng = np.random.default_rng(seed)
+        batch = () if runs is None else (runs,)
+        mean = rng.normal(size=batch + (2 * n,))
+        mean[..., rng.integers(2 * n)] = 0.0
+        if product:
+            cov = np.zeros((2 * n, 2 * n))
+            for k in range(n):
+                a = rng.normal(size=(2, 2))
+                cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] = a @ a.T + VACUUM_VAR * np.eye(2)
+        else:
+            a = rng.normal(size=(2 * n, 2 * n))
+            cov = a @ a.T + VACUUM_VAR * np.eye(2 * n)
+        state = GaussianState(tuple(f"m{k}" for k in range(n)), mean, 0.5 * (cov + cov.T))
+        mode = mode % n
+        out = apply_beta_decay(state, mode, beta)
+        want_mean, want_cov = reference_beta_decay(state, mode, beta)
+        assert np.array_equal(out.mean, want_mean)
+        assert np.array_equal(out.cov, want_cov)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_channel_preserves_physicality(self, beta, kappa):
@@ -215,6 +257,21 @@ class TestBetaDecay:
         _, state = measure_x(state, 1, np.random.default_rng(0))
         state = apply_beta_decay(state, 0, beta)
         validate(state)
+
+
+def reference_beta_decay(state, mode, beta):
+    """apply_beta_decay as rows and columns scaled by hand: the mean and the
+    symmetrized covariance, independent of the engine's linear map."""
+    i = state.x_index(mode)
+    sel = [i, i + 1]
+    mean = state.mean.copy()
+    cov = state.cov.copy()
+    mean[..., sel] *= beta
+    cov[sel, :] *= beta
+    cov[:, sel] *= beta
+    # the block got beta^2; add the vacuum admixture
+    cov[np.ix_(sel, sel)] += (1.0 - beta**2) * VACUUM_VAR * np.eye(2)
+    return mean, 0.5 * (cov + cov.T)
 
 
 def _entangled_pair(kappa: float) -> "GaussianState":
@@ -261,6 +318,10 @@ class TestHelpers:
         out = rotate(state, 0, np.pi / 2)
         assert np.allclose(out.mean, [2.0, -1.0])
 
+    def test_apply_symplectic_refuses_a_matrix_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape does not match mode count"):
+            apply_symplectic(vacuum_state(2), np.eye(2), [0, 1])
+
     def test_apply_symplectic_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
             apply_symplectic(vacuum_state(1), 2.0 * np.eye(2), [0])
@@ -293,6 +354,12 @@ class TestHelpers:
         with pytest.raises(InvariantViolation):
             validate(bad)
         validate(vacuum_state(3))
+
+    def test_validate_refuses_an_asymmetric_covariance(self):
+        cov = 0.5 * np.eye(4)
+        cov[0, 2] = 1e-3
+        with pytest.raises(InvariantViolation, match="covariance asymmetry"):
+            validate(GaussianState(("m0", "m1"), np.zeros(4), cov))
 
     @pytest.mark.parametrize("r", [4.0, 6.0, 10.0, 12.0])
     def test_validate_passes_deep_two_mode_squeezing(self, r):
@@ -334,6 +401,13 @@ class TestHelpers:
         assert grown.n_modes == 3
         assert np.array_equal(grown.cov[:4, :4], state.cov)
         assert np.array_equal(grown.cov[4:, 4:], 0.5 * np.eye(2))
+
+    def test_add_no_vacuum_modes_returns_an_equal_state(self):
+        state = apply_qnd(vacuum_state(2, batch=(3,)), 0, 1, 1.0)
+        same = add_vacuum_modes(state, [])
+        assert same.labels == state.labels
+        assert same.mean.tobytes() == state.mean.tobytes()
+        assert same.cov.tobytes() == state.cov.tobytes()
 
 
 class PresetRng:

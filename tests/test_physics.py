@@ -185,6 +185,17 @@ class TestSmallFormulas:
         assert mean_sy_small_angle(s_x, theta) == pytest.approx(
             coupling_a(p) * s_x * j_x, rel=1e-12)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: css_variance(0), "n_atoms must be positive"),
+        (lambda: faraday_theta(-1, DEFAULTS), "j_x must be >= 0"),
+        (lambda: calibrate(DEFAULTS, theta_deg=-1), "theta_deg must be >= 0"),
+        (lambda: kappa2_experimental(-1), "theta_deg must be >= 0"),
+        (lambda: beta_from_t2(1, -1), "gap_ms must be >= 0")],
+        ids=["css_variance", "faraday_theta", "calibrate", "kappa2_experimental", "beta_from_t2"])
+    def test_out_of_range_argument_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PhysicalParams(power_mW=-1.0)

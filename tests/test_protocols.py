@@ -92,6 +92,10 @@ class TestTeleport:
 
 
 class TestSwap:
+    def test_negative_coupling_refused(self):
+        with pytest.raises(ValueError, match="kappa2 must be >= 0"):
+            entanglement_swap(-1.0)
+
     def test_no_coupling_is_separable_boundary(self):
         result = entanglement_swap(0.0, n_runs=3, seed=1)
         assert result.duan_sum_out == pytest.approx(1.0, abs=1e-12)

@@ -123,6 +123,10 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             shot_noise_scaling([], np.random.default_rng(0))
 
+    def test_non_positive_photon_number_rejected(self):
+        with pytest.raises(ValueError, match="photon numbers must be positive"):
+            shot_noise_scaling([0.0], np.random.default_rng(0))
+
 
 class TestDiffNoise:
     @pytest.mark.parametrize("kappa,expected", [(0.0, 0.5), (1.0, 1.0), (2.0, 2.5)])
