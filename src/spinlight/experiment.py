@@ -16,9 +16,10 @@ timedomain check of the time-domain engine against the symplectic engine.
 
 Cycles are simulated in the seeded chunks of spinlight.chunks, so any
 degree of parallelism produces byte-identical results.  The statistics need
-only the 4x4 Gram matrix of the outcomes, summed in chunk order, so
-stream_cycle_stats keeps no cycles; it writes the cycles CSV chunk by chunk.
-density_sweep writes no cycles, so it draws each point's Gram matrix of all
+only the 2x2 Gram matrix of both channels' (a1, a2) pairs, which
+stream_cycle_stats pools once from the outcomes' 4x4 Gram matrix summed in
+chunk order, so it keeps no cycles; it writes the cycles CSV chunk by chunk.
+density_sweep writes no cycles, so it draws each point's pooled matrix of all
 its cycles at once from its Wishart law (_gram_draw) in place of the cycles.
 """
 
@@ -115,31 +116,25 @@ def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int)
 
 
 def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarray:
-    """The Gram matrix of all n_cycles rows, drawn from the law of _cycles'
-    summed rows.T @ rows without drawing the rows.
+    """The pooled Gram matrix that _stats reads, of all n_cycles cycles,
+    drawn from its law without drawing the cycles.
 
-    The rows are iid N(0, Sigma): in (a1, b1, a2, b2) order Sigma has
-    diagonal h = (1 + kappa2)/2 and cov(a1, a2) = cov(b1, b2) = g =
-    kappa2 beta / 2, so the Gram matrix is Wishart(Sigma, n_cycles), the law
-    of any sum of its chunks' Gram matrices.  The Bartlett decomposition draws
-    it as L A A^T L^T: L is Sigma's Cholesky factor, A lower triangular with
-    A_ii = sqrt(chi2(n_cycles - i)) and N(0, 1) below the diagonal.  Fewer
-    than 4 cycles, whose Wishart is singular, are drawn as rows by the cycle
-    kernel.  The draw is seeded SeedSequence(seed, spawn_key=(0,)), the
-    stream of chunk_map's chunk 0, and it costs the same at any n_cycles.
+    Each channel's (a1, a2) pair is N(0, S), S = [[h, g], [g, h]] with
+    h = (1 + kappa2)/2 and g = kappa2 beta / 2, iid over both channels and
+    all cycles, so the pooled matrix is Wishart(S, 2 n_cycles).  The Bartlett
+    decomposition draws it as L A A^T L^T: L is S's Cholesky factor, A lower
+    triangular with A_ii = sqrt(chi2(2 n_cycles - i)) and one N(0, 1) below
+    the diagonal, 3 random numbers at any n_cycles.  The draw is seeded
+    SeedSequence(seed, spawn_key=(0,)), the stream of chunk_map's chunk 0.
     """
-    rows_chunk = _cycle_chunk(kappa2, beta, n_cycles)
+    _cycle_chunk(kappa2, beta, n_cycles)  # refuses what the cycle kernel refuses
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if n_cycles < 4:
-        return rows_chunk(rng, 0, n_cycles)[2]
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
-    # each channel's 2x2 factor in closed form: g * g overflows where g * (g / h) does not
-    l11 = np.sqrt(h)
-    l21, l22 = g / l11, np.sqrt(h - g * (g / h))
-    factor = np.array([[l11, 0, 0, 0], [0, l11, 0, 0], [l21, 0, l22, 0], [0, l21, 0, l22]])
-    lower, dof = np.tril_indices(4, -1), np.arange(4)
-    bartlett = np.diag(np.sqrt(rng.chisquare(n_cycles - dof)))
-    bartlett[lower] = rng.standard_normal(6)
+    # S's factor in closed form: g * g overflows where g * (g / h) does not
+    factor = np.array([[np.sqrt(h), 0.0], [g / np.sqrt(h), np.sqrt(h - g * (g / h))]])
+    # float dof: 2 * n_cycles overflows int64 from n_cycles = 2**62
+    bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n_cycles - np.arange(2))))
+    bartlett[1, 0] = rng.standard_normal()
     with np.errstate(over="ignore", invalid="ignore"):  # as in the cycle kernel
         half = factor @ bartlett
         return half @ half.T
@@ -167,7 +162,8 @@ def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
 
 def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     """Variances, the optimal weight and the entanglement verdict from the
-    summed Gram matrix of the (a1, b1, a2, b2) rows.
+    pooled Gram matrix S of n cycles: S11 = sum(a1^2 + b1^2), S12 =
+    sum(a1 a2 + b1 b2) and S22 = sum(a2^2 + b2^2).
 
     alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2) minimizes the pooled
     conditional variance: one weight shared by both lock-in channels.  Pulse
@@ -185,8 +181,7 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     if n < 2:
         raise ValueError("need at least two cycles")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
-        first, second = gram[0, 0] + gram[1, 1], gram[2, 2] + gram[3, 3]
-        cross = gram[0, 2] + gram[1, 3]
+        first, cross, second = gram[0, 0], gram[0, 1], gram[1, 1]
         alpha = float(cross) / float(first)
         var1, var2 = float(first / (n - 1)), float(second / (n - 1))
         cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
@@ -230,7 +225,9 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
             with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_sums
                 gram = _finite_sums(gram + chunk_gram, kappa2)
             yield start, rows
-        stats = _stats(gram, n_cycles, kappa2, beta)  # refused while write_csv holds `out` open
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _stats
+            pooled = gram[0::2, 0::2] + gram[1::2, 1::2]
+        stats = _stats(pooled, n_cycles, kappa2, beta)  # refused while write_csv holds `out` open
 
     if out is None:
         for _ in blocks():

@@ -277,7 +277,8 @@ def coherent_fidelity(state: GaussianState, mode: ModeRef, target_x, target_p):
     det = float(np.linalg.det(sigma))
     if det < 1.0 - 1e-9:
         raise InvariantViolation(f"unphysical reduced covariance: det(Sigma + I/2) = {det:.3g} < 1")
-    quad = np.sum(delta * (delta @ np.linalg.inv(sigma)), axis=-1)
+    with np.errstate(over="ignore"):  # quad = inf only where exp(-quad / 2) is 0 anyway
+        quad = np.sum(delta * (delta @ np.linalg.inv(sigma)), axis=-1)
     return np.exp(-0.5 * quad) / np.sqrt(det)
 
 

@@ -337,20 +337,20 @@ class TestSweep:
         assert not path.exists()
 
     def test_csv_bytes_pinned(self, capsys, tmp_path):
-        # one Gram matrix drawn per point, of all 16386 cycles: a change to
-        # that stream is a deliberate edit of this digest
+        # one pooled Gram matrix drawn per point, of all 16386 cycles: a change
+        # to that stream is a deliberate edit of this digest
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--cycles", "16386",
                              "--seed", "5", "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "4bdb96c1983e6a594be0f56a73b768ab53efad46da9e61776572a114c933dcc5")
+            "3eff22d504358d60ab0743d352fa61c36b80c01e51d26557c6c23c1639b8bdca")
 
     @pytest.mark.parametrize("cycles,digest", [
-        # one chunk drawn as a Gram matrix, and one drawn as rows: the bytes
-        # of every version that draws up to CYCLE_CHUNK cycles as one chunk
-        ("4096", "e2938df34d7a83dead42f6d462e8251461f69fd7f4a2e22e738dc16fd7aa8975"),
-        ("3", "3656b454e75ca1e27b20eb4bfe277e519e314a3cc5f1c7b6501cce119e1d2d78"),
+        # one chunk's pooled Gram matrix, at a full chunk and at 3 cycles,
+        # where the Bartlett factor's last diagonal is sqrt(chi2(5))
+        ("4096", "add861e565a6a21b4630efca235e37512b1af51ccb368b133da5ddfac4f41070"),
+        ("3", "6bb74820b1d1b61845b536838bf7049a9d7ba87241f150b97f7966b9c30748f8"),
     ], ids=["4096", "3"])
     def test_one_chunk_csv_bytes_pinned(self, capsys, tmp_path, cycles, digest):
         path = tmp_path / "sweep.csv"
@@ -525,6 +525,17 @@ class TestProtocolCommand:
         assert code == 1
         assert out == ""
         assert err == "error: the state's mean or covariance is not finite\n"
+
+    # the feedback gain sqrt(2) / kappa is about 1.4e160 at a subnormal coupling, so
+    # displacement errors near 1e159 are real and F rounds to 0; the fidelity's
+    # quadratic form overflowed with a numpy RuntimeWarning
+    @pytest.mark.parametrize("protocol", ["teleport", "memory"])
+    def test_feedback_noise_beyond_range_gives_zero_fidelity(self, capsys, protocol):
+        code, out, err = run_cli(capsys, "protocol", "--protocol", protocol,
+                                 "--kappa2", "1e-320", "--cycles", "10")
+        assert code == 0
+        assert parse_kv(out)["mean_fidelity"] == "0"
+        assert err == ""
 
     def test_unknown_protocol(self, capsys):
         code, _, err = run_cli(capsys, "protocol", "--protocol", "warp")

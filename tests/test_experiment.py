@@ -36,12 +36,11 @@ def cycles(kappa2, beta, n, seed, parallel=1):
 
 
 def miscalibrated_stats(n):
-    """_stats at kappa2 = 1 of an exact Gram matrix whose first-pulse variance
-    is 2.18, not 1 + kappa2 = 2: far outside 5 standard errors, yet cond_var =
-    1.72 < 2."""
+    """_stats at kappa2 = 1 of an exact pooled Gram matrix whose first-pulse
+    variance is 2.18, not 1 + kappa2 = 2: far outside 5 standard errors, yet
+    cond_var = 1.72 < 2."""
     h, g = 1.09, 0.5
-    sigma = np.array([[h, 0, g, 0], [0, h, 0, g], [g, 0, h, 0], [0, g, 0, h]])
-    return _stats((n - 1) * sigma, n, 1.0, 1.0)
+    return _stats((n - 1) * np.array([[2 * h, 2 * g], [2 * g, 2 * h]]), n, 1.0, 1.0)
 
 
 def reference_chunks(kappa2, beta, n, seed):
@@ -92,7 +91,8 @@ class TestRunCycles:
         chunks = list(reference_chunks(kappa2, beta, n, seed))
         rows = np.concatenate([rows for rows, _ in chunks])
         assert cycles(kappa2, beta, n, seed, parallel=parallel).tobytes() == rows.tobytes()
-        # the Gram sum that stream_cycle_stats hands to _stats, summed in chunk order
+        # the pooled Gram matrix that stream_cycle_stats hands to _stats, of the
+        # chunks' Gram matrices summed in chunk order
         summed, stats_of_gram = [], spinlight.experiment._stats
 
         def spy(gram, *args):
@@ -105,7 +105,8 @@ class TestRunCycles:
                 stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel)
             except ValueError:  # a single cycle is refused after the sum
                 assert n == 1
-        assert summed[0].tobytes() == sum(gram for _, gram in chunks).tobytes()
+        gram = sum(gram for _, gram in chunks)
+        assert summed[0].tobytes() == (gram[0::2, 0::2] + gram[1::2, 1::2]).tobytes()
 
     def test_record_access(self):
         assert cycles(1.0, 1.0, 10, seed=9).shape == (10, 4)
@@ -275,16 +276,16 @@ class TestVerdict:
            st.integers(2, 10**9), st.floats(-4.0, 4.0), st.floats(-0.99, 0.99))
     @settings(max_examples=300, deadline=None)
     def test_verdict_is_decided_once(self, kappa2, n, r, rho):
-        """_stats of a Gram matrix (n - 1) Sigma whose first-pulse variance is
-        r calibration widths off 1 + kappa2: no verdict where |r| > 1 or where
-        1 + kappa2 rounds to 1, and summary_text prints exactly that verdict."""
+        """_stats of a pooled Gram matrix (n - 1) [[2h, 2g], [2g, 2h]] whose
+        first-pulse variance is r calibration widths off 1 + kappa2: no verdict
+        where |r| > 1 or where 1 + kappa2 rounds to 1, and summary_text prints
+        exactly that verdict."""
         bound = 1.0 + kappa2
         var1 = bound * (1.0 + r * 5.0 / np.sqrt(n - 1))
         assume(var1 > 0.05 * bound and abs(abs(r) - 1.0) > 1e-6)
         h = var1 / 2.0
         g = rho * h
-        sigma = np.array([[h, 0, g, 0], [0, h, 0, g], [g, 0, h, 0], [0, g, 0, h]])
-        stats = _stats((n - 1) * sigma, n, kappa2, 1.0)
+        stats = _stats((n - 1) * np.array([[2 * h, 2 * g], [2 * g, 2 * h]]), n, kappa2, 1.0)
         assert stats.calibration_ok == (abs(r) < 1.0)
         if abs(r) > 1.0 or bound == 1.0:
             assert stats.entangled is None
@@ -429,7 +430,6 @@ class TestDensitySweep:
 
     @pytest.mark.parametrize("n_cycles", [2, 3, 4, 5, 4097, 8195])
     def test_short_last_chunks_give_finite_rows(self, n_cycles):
-        # chunks of fewer than 4 cycles are drawn as rows, the others as Gram matrices
         rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44)
         assert all(np.isfinite(astuple(row)).all() for row in rows)
 
@@ -457,9 +457,9 @@ class TestSamplingLaws:
     draw per point against the exact laws of linear_oracle.cycle_stat_laws,
     in mean and variance, over many seeds.  8 cycles show the laws' degrees
     of freedom; CYCLE_CHUNK + 4 span two of the cycle kernel's chunks.  The
-    sweep's draw also runs at 4 cycles, the fewest it draws, whose last
-    Bartlett diagonal is sqrt(chi2(1)), and at 10**12, which only it can
-    reach."""
+    sweep's draw also runs at 2 cycles, the fewest a command accepts, whose
+    last Bartlett diagonal is sqrt(chi2(3)), at 4, and at 10**12, which only
+    it can reach."""
 
     BETAS = (0.65, 1.0, 0.0)
     THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4
@@ -486,7 +486,7 @@ class TestSamplingLaws:
                     self.assert_law(draws[:, i, j], laws[name], label)
 
     @pytest.mark.parametrize("n_cycles,n_seeds", [(8, 2000), (CYCLE_CHUNK + 4, 200),
-                                                  (4, 2000), (10**12, 200)])
+                                                  (4, 2000), (2, 2000), (10**12, 200)])
     def test_density_sweep(self, n_cycles, n_seeds):
         def stats_of(thetas, beta, n, seed):
             return [(row.kappa2, row.pn1 + 1.0, row.cond_var_minus_shot + 1.0, row.alpha_star)
