@@ -64,6 +64,8 @@ class RunConfig:
             raise UsageError("beta must lie in [0, 1]")
         if self.kappa2 is not None and self.kappa2 < 0:
             raise UsageError("kappa2 must be >= 0")
+        if self.out == "":
+            raise UsageError("out must name a file")
 
     def physical_params(self) -> physics.PhysicalParams:
         return physics.PhysicalParams(

@@ -18,6 +18,13 @@ whose product falls outside that range (the ``log10`` estimate is one off
 next to a power of ten) go through `_fmt` too, as do non-finite values and
 values outside ``1e-99 <= |x| < 1e99``.  The bytes are those of ``_fmt``
 either way.
+
+The text is built in 64-bit words, not byte by byte.  A table of four-digit
+groups packs the 17 digits into three little-endian words, and the row of
+`_layouts` for the value's exponent and count of significant digits masks
+them into place around the point and adds the point and the exponent.  A
+word of separator and sign leads each value's 32-byte row, and one pass
+drops the NUL bytes.
 """
 
 from __future__ import annotations
@@ -61,23 +68,55 @@ def _ten_table() -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi, dtype=np.float64), np.array(lo, dtype=np.float64)
 
 
-def _words(texts: list[bytes], size: int, dtype) -> np.ndarray:
-    """Each text right-justified in `size` bytes, viewed as one machine word."""
-    return np.frombuffer(b"".join(t.rjust(size, b"\0") for t in texts), dtype=dtype)
-
-
 _TEN_HI, _TEN_LO = _ten_table()
-#: The digits of 0..9999 as four characters, and their trailing zeros (4 for 0).
+#: The text is built in little-endian words: byte i of a word is bits 8i..8i+7.
+_WORD = np.dtype("<u8")
+#: The digits of 0..9999 as four characters in the low four bytes of a word,
+#: and their trailing zeros (4 for 0).
 _QUADS = (np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T)
-          + np.uint8(48)).view(np.uint32).ravel()
+          + np.uint8(48)).view("<u4").ravel().astype(np.uint64)
 _QUAD_ZEROS = np.sum([np.arange(10000) % 10**j == 0 for j in range(1, 5)], axis=0, dtype=np.int8)
-#: What precedes the digits: separator, sign, and "0." plus zeros for
-#: -4 <= k < 0.  Row 10 * (row start) + 2 * (-k) + (negative).
-_LEADS = _words([sep + b"-" * neg + (b"0." + b"0" * (z - 1) if z else b"")
-                 for sep in (b",", b"\n") for z in range(5) for neg in (0, 1)], 8, np.uint64)
-#: "e-99" .. "e+99" from row 1; row 0 is empty (fixed notation).
-_EXPONENTS = _words([b""] + [b"e%+03d" % k for k in range(-_K_MAX, _K_MAX + 1)], 4, np.uint32)
-_SLOTS = np.arange(18, dtype=np.int8)[:, None]
+#: What precedes the digits, right-justified in a word: separator, sign, and
+#: "0." plus zeros for -4 <= k < 0.  Row 2 * (k + K_MAX) + (negative), in the
+#: second half at a row start.
+_LEADS = np.frombuffer(b"".join(
+    (sep + b"-" * neg + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"")).rjust(8, b"\0")
+    for sep in (b",", b"\n") for k in range(-_K_MAX, _K_MAX + 1) for neg in (0, 1)), dtype=_WORD)
+
+
+def _layouts() -> tuple[np.ndarray, ...]:
+    """Tables of the three words after the lead: 18 bytes of text, two NULs, the exponent.
+
+    A value of decimal exponent ``k`` whose 17 digits end in ``z`` zeros (17
+    for zero) takes row ``rows[k + K_MAX] - z`` of three tables: a mask that
+    keeps the digits up to the point (and the exponent) in place, a mask that
+    takes those after it moved up one byte, and the point.
+    ``exponents[k + K_MAX]`` is the exponent in bytes 4..7, none in fixed notation.
+    """
+    keep, move, marks = bytearray(), bytearray(), bytearray()
+    for k in range(-5, 18):  # -5 and 17 stand for scientific notation
+        fixed = -4 <= k < 17
+        for sig in range(18):
+            shown = max(sig, 1, k + 1) if fixed else max(sig, 1)  # digits printed
+            point = k if fixed else 0  # the point follows this digit, if a digit follows it
+            point = point if 0 <= point < shown - 1 else 17
+            keep += (b"\xff" * min(point + 1, shown)).ljust(20, b"\0") + b"\xff" * 4
+            move += (b"\0" * (point + 2) + b"\xff" * (shown - point - 1)).ljust(24, b"\0")
+            marks += (b"\0" * (point + 1) + b"." * (point < 17)).ljust(24, b"\0")
+    keep, move, marks = (np.frombuffer(t, dtype=_WORD).reshape(-1, 3).T.copy()
+                         for t in (keep, move, marks))
+    rows = np.array([18 * (min(max(k, -5), 17) + 5) + 17 for k in range(-_K_MAX, _K_MAX + 1)],
+                    dtype=np.int64)
+    exponents = np.frombuffer(b"".join((b"" if -4 <= k < 17 else b"e%+03d" % k).rjust(8, b"\0")
+                                       for k in range(-_K_MAX, _K_MAX + 1)), dtype=_WORD)
+    return keep, move, marks, rows, exponents
+
+
+_KEEP, _MOVE, _MARKS, _ROWS, _EXPONENTS = _layouts()
+#: Shifts by 1, 3, 5 and 7 bytes, and the character "0", all uint64: numpy 1.24
+#: turns uint64 mixed with int64 into float64.
+_SHIFT = {b: np.uint64(8 * b) for b in (1, 3, 5, 7)}
+_ZERO_CHAR = np.uint64(48)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +138,12 @@ def _scaled(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del prod, err, t_lo
     carry = np.floor(frac)
     return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+
+
+def _divmod(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod for a >= 0, at half its cost."""
+    q = a // e
+    return q, a - q * e
 
 
 def _format_rows(block: np.ndarray) -> bytes:
@@ -127,46 +172,44 @@ def _format_rows(block: np.ndarray) -> bytes:
     del v, n, f, carry, direct, zero, unprinted
 
     # D = top * 10**16 + four groups of four digits
-    top, rest = np.divmod(d, _E16)
-    hi, lo = np.divmod(rest, np.int64(10**8))
-    q1, q2 = np.divmod(hi, np.int64(10000))
-    q3, q4 = np.divmod(lo, np.int64(10000))
-    chars = np.empty((m, 5), dtype=np.uint32)
-    for col, group in enumerate((q1, q2, q3, q4), start=1):
-        chars[:, col] = _QUADS[group]
-    chars = chars.view(np.uint8)  # bytes 3..19 are the 17 digits
-    chars[:, 3] = top + 48
-    zeros = _QUAD_ZEROS[q4] + (q4 == 0) * (_QUAD_ZEROS[q3] + (q3 == 0) * (
-        _QUAD_ZEROS[q2] + (q2 == 0) * (_QUAD_ZEROS[q1] + (q1 == 0) * (top == 0))))
-    del d, top, rest, hi, lo, q1, q2, q3, q4, group
-    sig = np.maximum(17 - zeros.astype(np.int64), 1)
-    fixed = (k >= -4) & (k < 17)
-    shown = np.where(fixed, np.maximum(sig, k + 1), sig)  # digits printed
-    point = np.where(fixed, k, 0)  # the point follows this digit, if any digit follows it
-    point = np.where((point >= 0) & (shown > point + 1), point, 17)
+    top, rest = _divmod(d, 10**16)
+    hi, lo = _divmod(rest, 10**8)
+    q1, q2 = _divmod(hi, 10**4)
+    q3, q4 = _divmod(lo, 10**4)
+    k += _K_MAX  # from here on, the row of the exponent
+    layout = _ROWS[k] - _QUAD_ZEROS[q4]  # the row in _layouts
+    deep = np.flatnonzero(q4 == 0)  # zeros, integers and round numbers
+    t, h, l, e = top[deep], q1[deep], q2[deep], q3[deep]
+    layout[deep] -= _QUAD_ZEROS[e] + (e == 0) * (_QUAD_ZEROS[l] + (l == 0) * (
+        _QUAD_ZEROS[h] + (h == 0) * (t == 0)))
+    del rest, hi, lo, deep, t, h, l, e
+    # the 17 digits as bytes 0..16 of three little-endian words
+    g = _QUADS[q2]
+    s0 = top.view(np.uint64) + _ZERO_CHAR | _QUADS[q1] << _SHIFT[1] | g << _SHIFT[5]
+    s1 = g >> _SHIFT[3] | _QUADS[q3] << _SHIFT[1]
+    g = _QUADS[q4]
+    s1 |= g << _SHIFT[5]
+    s2 = g >> _SHIFT[3] | _EXPONENTS[k]
+    del d, top, q1, q2, q3, q4, g
 
-    # slot-major: row i + 1 holds digit i, rows 0 and 18 are NUL
-    digits = np.zeros((19, m), dtype=np.uint8)
-    digits[1:18] = chars[:, 3:].T
-    digits[1:18] *= (_SLOTS[:17] < shown.astype(np.int8)).view(np.uint8)
-    p = point.astype(np.int8)
-    del zeros, sig, chars, shown, point
-    before = (_SLOTS <= p).view(np.uint8)
-    at = (_SLOTS == p + 1).view(np.uint8)
-    body = digits[1:] * before + digits[:-1] * (1 - before - at) + at * np.uint8(46)
-    del digits, before, at, p
-
-    # one row of 32 slots per value: lead word, body, two NULs, exponent word
+    # one row of four words per value: the lead, then the three words that the
+    # tables of _layouts make from the digits
     cols = block.shape[1]
-    row_start = np.zeros(m, dtype=np.int64)
-    row_start[::cols] = 10
-    out = np.empty((m, 32), dtype=np.uint8)
-    out.view(np.uint64)[:, 0] = _LEADS[row_start + 2 * np.where(fixed & (k < 0), -k, 0)
-                                       + np.signbit(x)]
-    out[:, 8:26] = body.T
-    out.view(np.uint16)[:, 13] = 0
-    out.view(np.uint32)[:, 7] = _EXPONENTS[np.where(fixed, 0, k + _K_MAX + 1)]
-    del body, row_start, k, fixed
+    lead = 2 * k + np.signbit(x)
+    lead[::cols] += _LEADS.size // 2  # a row starts with a newline
+    out = np.empty((m, 4), dtype=_WORD)
+    out[:, 0] = _LEADS[lead]
+    del lead, k
+    words = (s0, s1, s2)
+    for w, s in enumerate(words):
+        moved = s << _SHIFT[1]
+        if w:
+            moved |= words[w - 1] >> _SHIFT[7]
+        moved &= _MOVE[w][layout]
+        moved |= _MARKS[w][layout]
+        np.bitwise_or(s & _KEEP[w][layout], moved, out=out[:, w + 1])
+    del s0, s1, s2, words, s, moved, layout
+    out = out.view(np.uint8)
     for i in np.flatnonzero(fallback):
         text = ("\n" if i % cols == 0 else ",") + _fmt(float(x[i]))
         out[i] = 0
@@ -218,14 +261,17 @@ def open_output(path: str) -> Iterator[IO[bytes]]:
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        exc.filename = path  # name the path that was asked for
+        exc.filename = path  # name the path that was asked for, not the file beside it
         raise
     try:
         with os.fdopen(fd, "wb") as fh:
             if target is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(target.st_mode))
             yield fh
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:  # as above, without the file beside it
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         os.remove(temp)
         raise

@@ -112,6 +112,8 @@ def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
     """
     if kappa2 < 0 or gain < 0:
         raise ValueError("kappa2 and gain must be >= 0")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     dx, dp = float(input_disp[0]), float(input_disp[1])
     kappa = float(np.sqrt(kappa2))
     coeff = gain * np.sqrt(2.0) / kappa if kappa > 0 else 0.0
@@ -141,6 +143,8 @@ def entanglement_swap(kappa2: float, n_runs: int = 100, seed: int = 0) -> Protoc
     """
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     kappa = float(np.sqrt(kappa2))
     coeff = np.sqrt(2.0) / kappa if kappa > 0 else 0.0
 
@@ -175,6 +179,8 @@ def quantum_memory(light_disp: tuple[float, float], resource_squeeze_r: float,
     """
     if resource_squeeze_r < 0 or kappa2_readout < 0:
         raise ValueError("squeeze parameter and readout coupling must be >= 0")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     lx, lp = float(light_disp[0]), float(light_disp[1])
     kappa_r = float(np.sqrt(kappa2_readout))
     read_gain = -1.0 / kappa_r if kappa_r > 0 else 0.0

@@ -163,6 +163,8 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     chunks of spinlight.chunks, serially.  Each row is [atoms, L z] @ M^T, with
     L L^T the noise's Gram matrix (see pulse_covariance): O(1) cost per run.
     """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     m, gram = _pulse_map(kappa, omega_T, n_steps)
     l11, l21 = np.sqrt(gram[0, 0]), gram[0, 1] / np.sqrt(gram[0, 0])  # gram = L L^T
     l22 = np.sqrt(max(gram[1, 1] - l21**2, 0.0))  # gram is singular at n_steps = 1

@@ -655,6 +655,17 @@ class TestConfig:
         path.write_text("seed = -1\n")
         assert run_cli(capsys, *argv, "--config", str(path)) == refusal
 
+    @pytest.mark.parametrize("argv", [("run",), ("sweep",), ("timedomain",),
+                                      ("protocol", "--protocol", "teleport")])
+    def test_empty_out_refused_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        # it ran the whole command, then failed to rename the file it wrote beside ''
+        monkeypatch.chdir(tmp_path)
+        refusal = (1, "", "error: out must name a file\n")
+        assert run_cli(capsys, *argv, "--cycles", "100", "--out", "") == refusal
+        (tmp_path / "run.cfg").write_text("out = \n")
+        assert run_cli(capsys, *argv, "--cycles", "100", "--config", "run.cfg") == refusal
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", ["1", "4"])

@@ -109,6 +109,28 @@ class TestMatchesPerValueFormat:
         for n_cols in (1, 2, 3, 7):
             assert_same_bytes(tmp_path, as_columns(values, n_cols))
 
+    def test_every_layout(self, tmp_path):
+        # each exponent from 1e-6 through both notation boundaries to 1e18, with each
+        # count of significant digits, so the point falls at every position; no
+        # double prints one digit at 1e-6 or 1e-5
+        cases = []
+        for k in range(-6, 19):
+            for sig in range(1, 18):
+                # the first value from 1.2345...e{k} up whose text has `sig` digits
+                start = int("12345678912345678"[:sig])
+                for n in range(100):
+                    digits = str(start + n)
+                    x = float(f"{digits[0]}.{digits[1:]}e{k}")
+                    mantissa, exponent = ("%.16e" % x).split("e")
+                    if int(exponent) == k and len(mantissa.replace(".", "").rstrip("0")) == sig:
+                        cases.append(x)
+                        break
+        assert len(cases) == 25 * 17 - 2
+        cases = np.array(cases)
+        index = np.arange(len(cases))
+        assert_same_bytes(tmp_path, [cases, -cases, np.zeros(len(cases)), index])
+        assert_same_bytes(tmp_path, [-cases, index, cases, -np.zeros(len(cases))])
+
     # partial and uneven blocks, then the edges of one and of three blocks
     @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1541, CSV_BLOCK_ROWS - 1,
                                         CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
@@ -171,6 +193,15 @@ class TestOutputFile:
         with pytest.raises(FileNotFoundError) as raised:
             write_csv(path, ("a",), [])
         assert raised.value.filename == path
+
+    def test_a_failed_rename_names_the_path_asked_for(self, tmp_path, monkeypatch):
+        # '' has no directory part: the file beside it is written, the rename fails
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as raised:
+            write_csv("", ("a",), [])
+        assert (raised.value.filename, raised.value.filename2) == ("", None)
+        assert str(raised.value).endswith(": ''")  # not the name of the file beside it
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBlocks:

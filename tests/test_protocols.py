@@ -90,11 +90,20 @@ class TestTeleport:
         with pytest.raises(ValueError):
             teleport_spin_state((0, 0), 1.0, gain=-0.5)
 
+    def test_zero_runs_refused(self):
+        # the mean of no runs was nan, with numpy's "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            teleport_spin_state((0, 0), 1.0, n_runs=0)
+
 
 class TestSwap:
     def test_negative_coupling_refused(self):
         with pytest.raises(ValueError, match="kappa2 must be >= 0"):
             entanglement_swap(-1.0)
+
+    def test_zero_runs_refused(self):
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            entanglement_swap(1.0, n_runs=0)
 
     def test_no_coupling_is_separable_boundary(self):
         result = entanglement_swap(0.0, n_runs=3, seed=1)
@@ -208,6 +217,10 @@ class TestMemory:
             quantum_memory((0, 0), -1.0, 100.0)
         with pytest.raises(ValueError):
             quantum_memory((0, 0), 1.0, -4.0)
+
+    def test_zero_runs_refused(self):
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            quantum_memory((0, 0), 1.0, 4.0, n_runs=0)
 
 
 class TestPulsePrimitive:

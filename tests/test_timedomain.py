@@ -413,6 +413,11 @@ class TestEnsembleDeterminism:
         b = pulse_ensemble(1.0, OMEGA_T, N_STEPS, 600, seed=3)
         assert np.array_equal(a, b)
 
+    def test_zero_runs_refused(self):
+        # numpy's concatenate raised "need at least one array to concatenate"
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            pulse_ensemble(1.0, OMEGA_T, N_STEPS, 0, seed=3)
+
     @pytest.mark.parametrize("omega_t,n_steps,n_runs", [
         (OMEGA_T, N_STEPS, 1), (OMEGA_T, N_STEPS, 257), (2.0 * np.pi * 1.25, 125, 600),
         (DEFAULT_OMEGA_T, 65_000, 64)])
