@@ -35,7 +35,6 @@ from .experiment import (
 from .timedomain import (
     LockInResult,
     PulseTrace,
-    diff_noise_growth,
     shot_noise_scaling,
     simulate_pulse,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "CycleStats", "SweepRow", "theory_curves",
     "stream_cycle_stats", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
-    "diff_noise_growth",
     "ProtocolResult", "teleport_spin_state", "entanglement_swap",
     "quantum_memory",
 ]

@@ -296,6 +296,8 @@ def cross_engine_rows(kappa2: float, n_runs: int, seed: int
     vanish.  Sample means are checked against the engine's zero means at 5
     standard errors.  Raises ValueError when the sample moments are not finite.
     """
+    if n_runs < 2:  # a sample covariance needs two runs
+        raise ValueError("n_runs must be >= 2")
     kappa = float(np.sqrt(kappa2))
     omega_T = timedomain.DEFAULT_OMEGA_T
     n_steps = round(timedomain.STEPS_PER_CYCLE * omega_T / (2.0 * np.pi))

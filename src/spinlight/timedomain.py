@@ -5,10 +5,11 @@ This module deliberately avoids the Gaussian covariance engine.  Only
 simulate_pulse integrates the two-cell rotating-frame equations step by step
 (Euler-Maruyama) and extracts the canonical light operators by multiplying
 the simulated photocurrent with cos/sin of the Larmor phase.  pulse_ensemble
-integrates nothing: it maps exact draws of the pulse's inputs through its linear
-map M, whose M D M^T is pulse_covariance.  The tests close the chain: the Euler
-integrator equals pulse_covariance to round-off at any resolution, and
-pulse_covariance equals the symplectic engine's at whole cycle counts.
+integrates nothing: its rows are z F^T for z ~ N(0, I_8), F the square-root
+factor of the pulse's law (_pulse_map), and F F^T is pulse_covariance.  The
+tests close the chain: the Euler integrator equals pulse_covariance to
+round-off at any resolution, and pulse_covariance equals the symplectic
+engine's at whole cycle counts.
 
 Scaled units: atomic quadratures are canonical (vacuum variance 1/2); the
 per-step integrated Stokes noise has variance (S_x/2) dt, which reduces to
@@ -82,8 +83,9 @@ def _pulse(kappa: float, omega_T: float, n_steps: int):
     return dt, c, s, norm_c, norm_s
 
 
-def _pulse_map(kappa: float, omega_T: float, n_steps: int):
-    """M, the pulse's linear map from its inputs to a row, and the Gram matrix of (c, s)."""
+def _pulse_map(kappa: float, omega_T: float, n_steps: int) -> np.ndarray:
+    """F, the pulse's linear map M from its inputs to a row, times the inputs' root:
+    a row is z F^T for z ~ N(0, I_8), and F F^T is the rows' covariance."""
     dt, c, s, norm_c, norm_s = _pulse(kappa, omega_T, n_steps)
     sum_cc, sum_ss, sum_cs = norm_c / dt, norm_s / dt, float(np.sum(c * s))
     atomic_scale = np.sqrt(2.0) * kappa / np.sqrt(PULSE_MS) * dt  # read-out of the spin sums
@@ -97,7 +99,12 @@ def _pulse_map(kappa: float, omega_T: float, n_steps: int):
     m[:2] /= np.sqrt([[norm_c], [norm_s]])
     m[2:, :4] = np.eye(4)
     m[2, 6], m[4, 7] = drive_scale, -drive_scale
-    return m, gram
+    # vacuum atoms have variance 1/2; each noise pair is N(0, gram), gram = L L^T
+    l11, l21 = np.sqrt(sum_cc), sum_cs / np.sqrt(sum_cc)
+    root = np.array([[l11, 0.0], [l21, np.sqrt(max(sum_ss - l21**2, 0.0))]])  # singular at 1 step
+    m[:, :4] *= np.sqrt(0.5)
+    m[:, 4:] = m[:, 4:] @ np.kron(np.eye(2), root)
+    return m
 
 
 def simulate_pulse(kappa: float, omega_T: float, n_steps: int,
@@ -160,21 +167,17 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
 
     Returns an array of shape (n_runs, 6) with columns
     (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), drawn in the seeded
-    chunks of spinlight.chunks, serially.  Each row is [atoms, L z] @ M^T, with
-    L L^T the noise's Gram matrix (see pulse_covariance): O(1) cost per run.
+    chunks of spinlight.chunks, serially.  Each row is z F^T for z ~ N(0, I_8),
+    F F^T = pulse_covariance: O(1) cost per run.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    m, gram = _pulse_map(kappa, omega_T, n_steps)
-    l11, l21 = np.sqrt(gram[0, 0]), gram[0, 1] / np.sqrt(gram[0, 0])  # gram = L L^T
-    l22 = np.sqrt(max(gram[1, 1] - l21**2, 0.0))  # gram is singular at n_steps = 1
+    f = _pulse_map(kappa, omega_T, n_steps)
 
     def chunk(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
-        atoms = np.sqrt(0.5) * rng.standard_normal((count, 4))  # xa1 pa1 xa2 pa2
-        noise = rng.standard_normal((4, count))  # L z ~ N(0, gram): xi.c xi.s, zeta.c zeta.s
-        noise[1::2] = l21 * noise[0::2] + l22 * noise[1::2]
-        noise[0::2] *= l11
-        return np.hstack([atoms, noise.T]) @ m.T
+        atoms = rng.standard_normal((count, 4))  # xa1 pa1 xa2 pa2
+        noise = rng.standard_normal((4, count))  # xi.c xi.s, zeta.c zeta.s
+        return np.hstack([atoms, noise.T]) @ f.T
 
     return np.concatenate(list(chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed)))
 
@@ -184,15 +187,13 @@ def pulse_covariance(kappa: float, omega_T: float, n_steps: int) -> np.ndarray:
 
     Each row is linear in the vacuum atomic quadratures (variance 1/2) and
     the noise projections xi.c, xi.s, zeta.c, zeta.s, whose covariance is the
-    Gram matrix of (c, s); so the covariance is M D M^T.  For a whole number
-    of Larmor cycles it equals the symplectic engine's to round-off at any
-    resolution; otherwise the difference is discretization alone.
+    Gram matrix of (c, s); so the covariance is F F^T, F their map times
+    their root.  For a whole number of Larmor cycles it equals the symplectic
+    engine's to round-off at any resolution; otherwise the difference is
+    discretization alone.
     """
-    m, gram = _pulse_map(kappa, omega_T, n_steps)
-    d = np.zeros((8, 8))
-    d[:4, :4] = 0.5 * np.eye(4)
-    d[4:, 4:] = np.kron(np.eye(2), gram)
-    return m @ d @ m.T
+    f = _pulse_map(kappa, omega_T, n_steps)
+    return f @ f.T
 
 
 def shot_noise_scaling(n_ph_list: list[float], rng: np.random.Generator,
@@ -205,6 +206,10 @@ def shot_noise_scaling(n_ph_list: list[float], rng: np.random.Generator,
     """
     if not n_ph_list:
         raise ValueError("n_ph_list must be nonempty")
+    if n_runs < 2:  # a sample variance needs two runs
+        raise ValueError("n_runs must be >= 2")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     variances = []
     for n_ph in n_ph_list:
         if n_ph <= 0:
@@ -212,19 +217,6 @@ def shot_noise_scaling(n_ph_list: list[float], rng: np.random.Generator,
         steps = rng.standard_normal((n_runs, n_steps)) * np.sqrt(n_ph / (4.0 * n_steps))
         variances.append(float(np.var(steps.sum(axis=1), ddof=1)))
     return variances
-
-
-def diff_noise_growth(kappa: float, rng: np.random.Generator,
-                      n_runs: int = 5000, omega_T: float = 2.0 * np.pi * 100,
-                      n_steps: int = 10_000) -> float:
-    """Monte Carlo var(X_A1^out) for vacuum input; expected (1 + kappa^2)/2.
-
-    The back-action of the S_z noise piles up in the difference components
-    while the sums stay QND-protected.
-    """
-    seed = int(rng.integers(0, 2**63 - 1))
-    ens = pulse_ensemble(kappa, omega_T, n_steps, n_runs, seed)
-    return float(np.var(ens[:, 2], ddof=1))
 
 
 def write_trace_csv(trace: PulseTrace, path: str) -> None:

@@ -11,6 +11,7 @@ import spinlight.experiment
 from spinlight.experiment import (
     CYCLE_CHUNK,
     _stats,
+    cross_engine_rows,
     density_sweep,
     duan_spin_check,
     engine_conditioned_duan,
@@ -363,6 +364,12 @@ class TestEngineAgreement:
         h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
         error = np.abs(state.cov[np.ix_(probes, probes)] - [[h, g], [g, h]]).max()
         assert error <= 2.0 * np.finfo(float).eps * h
+
+    @pytest.mark.parametrize("n_runs", [1, 0])
+    def test_cross_engine_rows_refuses_fewer_than_two_runs(self, n_runs):
+        # np.cov raised "Degrees of freedom <= 0" at one run; the CLI refuses --cycles < 2
+        with pytest.raises(ValueError, match="^n_runs must be >= 2$"):
+            cross_engine_rows(1.0, n_runs, seed=17)
 
     def test_engine_route_exact_values(self):
         assert engine_conditioned_duan(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)

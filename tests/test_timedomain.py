@@ -15,7 +15,6 @@ from spinlight.timedomain import (
     PULSE_MS,
     _pulse,
     _pulse_map,
-    diff_noise_growth,
     final_atoms,
     pulse_covariance,
     pulse_ensemble,
@@ -127,13 +126,26 @@ class TestShotNoise:
         with pytest.raises(ValueError, match="photon numbers must be positive"):
             shot_noise_scaling([0.0], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_runs", [1, 0])
+    def test_fewer_than_two_runs_refused(self, n_runs):
+        # the sample variance (ddof=1) was nan, with numpy's RuntimeWarning
+        with pytest.raises(ValueError, match="^n_runs must be >= 2$"):
+            shot_noise_scaling([4.0], np.random.default_rng(0), n_runs=n_runs)
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_refused(self, n_steps):
+        # n_steps = 0 divided by zero in the per-step scale
+        with pytest.raises(ValueError, match="^n_steps must be >= 1$"):
+            shot_noise_scaling([4.0], np.random.default_rng(0), n_steps=n_steps)
+
 
 class TestDiffNoise:
     @pytest.mark.parametrize("kappa,expected", [(0.0, 0.5), (1.0, 1.0), (2.0, 2.5)])
     def test_back_action_growth(self, kappa, expected):
-        var = diff_noise_growth(kappa, np.random.default_rng(10), n_runs=20_000,
-                                omega_T=OMEGA_T, n_steps=N_STEPS)
-        assert var == pytest.approx(expected, rel=0.03)
+        # the back-action of the S_z noise grows var(X_A1) to (1 + kappa^2)/2,
+        # exactly on a whole number of Larmor cycles
+        cov = pulse_covariance(kappa, OMEGA_T, N_STEPS)
+        assert cov[2, 2] == pytest.approx(expected, abs=1e-12)
 
 
 class TestDemodulation:
@@ -144,10 +156,14 @@ class TestDemodulation:
         assert abs(cov) <= 4.0 / np.sqrt(10_000)
 
     def test_integer_cycle_moments_exact(self):
-        cov = pulse_covariance(1.3, 2.0 * np.pi * 100.0, 10_000)
-        assert cov[0, 0] == pytest.approx(0.5 + 1.3**2 / 2, abs=1e-12)
-        assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
-        assert 2 * cov[0, 3] == pytest.approx(1.3, abs=1e-12)  # effective coupling
+        # the sums stay QND-protected while var(X_A1) grows by the back-action
+        for kappa, omega_t, n_steps in [(1.3, 2.0 * np.pi * 100.0, 10_000), (0.0, OMEGA_T, N_STEPS),
+                                        (1.0, OMEGA_T, N_STEPS), (2.0, OMEGA_T, N_STEPS)]:
+            cov = pulse_covariance(kappa, omega_t, n_steps)
+            assert cov[0, 0] == pytest.approx(0.5 + kappa**2 / 2, abs=1e-12)
+            assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
+            assert 2 * cov[0, 3] == pytest.approx(kappa, abs=1e-12)  # effective coupling
+            assert cov[2, 2] == pytest.approx((1 + kappa**2) / 2, abs=1e-12)
 
     def test_discretization_convergence(self):
         # non-integer cycle count exposes genuine discretization effects
@@ -175,10 +191,11 @@ class TestDemodulation:
         # the n_steps-term sums accumulate as a random walk: a relative error
         # of about 2 eps omega_T / sqrt(n_steps) = 0.13 eps sqrt(n_steps),
         # on entries of size up to 1 + kappa^2.  The bound allows 8 times that
-        # (every count from 1 to 650 at kappa = 5 stays under 0.27 of it).
+        # (every count from 1 to 650 at kappa = 5 stays under 0.28 of it).
         omega_t = 2.0 * np.pi * cycles
         n_steps = 100 * cycles
         got = pulse_covariance(kappa, omega_t, n_steps)
+        assert np.array_equal(got, got.T)
         bound = np.finfo(float).eps * np.sqrt(n_steps) * (1.0 + kappa**2)
         np.testing.assert_allclose(got, engine_pulse_covariance(kappa), rtol=0, atol=bound)
 
@@ -251,7 +268,7 @@ class TestEulerIntegrator:
     Bound: every sum in simulate_pulse has a single nonzero term for a unit
     input, except the lock-in dot products of the atomic columns, which
     pulse_covariance forms as other sums of the same terms.  So each entry of
-    A carries a few roundings, and so does M D M^T; the covariance entries
+    A carries a few roundings, and so does F F^T; the covariance entries
     are of size up to 1 + kappa^2.  Over 300 random points (kappa in [0, 5],
     1 to 5 cycles) and points up to 10^4 steps the difference stayed below
     3.1 eps (1 + kappa^2), with no growth in n_steps; the bound is 8 of them."""
@@ -322,17 +339,18 @@ def reference_ensemble(kappa, omega_T, n_steps, n_runs, seed, projections):
 
 
 def mapped_ensemble(kappa, omega_T, n_steps, n_runs, seed):
-    """pulse_ensemble's rows as [atoms, L z] @ M^T, with M and the Gram matrix
-    from _pulse_map: each 256-run chunk drawn from SeedSequence(seed,
-    spawn_key=(chunk,)), atoms first, every array a fresh one."""
-    m, gram = _pulse_map(kappa, omega_T, n_steps)
+    """pulse_ensemble's rows as [atoms, noise^T] @ F^T, with F from _pulse_map:
+    each 256-run chunk drawn from SeedSequence(seed, spawn_key=(chunk,)), the
+    (count, 4) atomic normals first, then a (4, count) block of noise normals,
+    every array a fresh one."""
+    f = _pulse_map(kappa, omega_T, n_steps)
     out = np.empty((n_runs, 6))
     for chunk, start in enumerate(range(0, n_runs, 256)):
         count = min(256, n_runs - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        atoms = np.sqrt(0.5) * rng.standard_normal((count, 4))
-        noise = gram_law_projections(rng, count, None, None, (gram[0, 0], gram[1, 1], gram[0, 1]))
-        out[start:start + count] = np.column_stack([atoms, *noise]) @ m.T
+        atoms = rng.standard_normal((count, 4))
+        noise = rng.standard_normal((4, count))
+        out[start:start + count] = np.column_stack([atoms, noise.T]) @ f.T
     return out
 
 
@@ -437,7 +455,7 @@ class TestEnsembleDeterminism:
         # reference_ensemble states the map term by term; the product sums the
         # same terms in another order, so rows agree to a few roundings of the
         # terms, which are of the size of the row's standard deviation or of
-        # the row itself (at most 0.89 of the unit below over 300 random cases)
+        # the row itself (at most 1.14 of the unit below over 300 random cases)
         omega_t = 2.0 * np.pi * cycles
         n_steps = math.ceil(100 * cycles) + extra_steps  # 1 step at 0.01 cycles or fewer
         got = pulse_ensemble(kappa, omega_t, n_steps, n_runs, seed)
