@@ -3,7 +3,7 @@
 One cycle: prepare both canonical atomic pair modes in vacuum, probe each
 with a fresh light mode (QND coupling sqrt(kappa2) followed by an X homodyne,
 outcomes a1/b1), decohere the atoms with survival amplitude beta, probe again
-(a2/b2).  The sampler exploits that the whole cycle is linear-Gaussian:
+(a2/b2).  The whole cycle is linear-Gaussian:
 
     a1 = l1 + kappa p,      a2 = l2 + kappa (beta p + sqrt(1-beta^2) w),
 
@@ -14,13 +14,10 @@ same quantities (see engine_conditioned_duan); the two are cross-checked in
 the test suite rather than sharing code.  cross_engine_rows is the whole
 timedomain check of the time-domain engine against the symplectic engine.
 
-Cycles are simulated in the seeded chunks of spinlight.chunks, so any
-degree of parallelism produces byte-identical results.  The statistics need
-only the 2x2 Gram matrix of both channels' (a1, a2) pairs, which
-stream_cycle_stats pools once from the outcomes' 4x4 Gram matrix summed in
-chunk order, so it keeps no cycles; it writes the cycles CSV chunk by chunk.
-density_sweep writes no cycles, so it draws each point's pooled matrix of all
-its cycles at once from its Wishart law (_gram_draw) in place of the cycles.
+The statistics need only the 2x2 Gram matrix of both channels' (a1, a2)
+pairs, which run and sweep draw from its Wishart law (_gram_draw).  run's
+CSV holds cycles with that Gram matrix (_cycle_rows), drawn in the seeded
+chunks of spinlight.chunks, so any parallelism writes the same bytes.
 """
 
 from __future__ import annotations
@@ -36,8 +33,9 @@ from .output import _fmt, write_csv
 from .physics import kappa2_experimental
 
 #: Cycles simulated per RNG stream; fixed so parallel scheduling cannot
-#: change the output.
-CYCLE_CHUNK = 4096
+#: change the output.  8192 cycles draw 32768 normals, as 4096 did at 8 per
+#: cycle; at 4096, glibc trimmed and regrew the heap between CSV blocks.
+CYCLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,18 @@ class SweepRow:
     theory_alpha_ideal: float
 
 
-def _cycle_chunk(kappa2: float, beta: float, n_cycles: int):
-    """The checked chunk kernel: chunk(rng, start, count) gives (start, rows,
-    rows.T @ rows), where rows is the chunk's (count, 4) array of (a1, b1, a2,
-    b2) outcomes."""
+def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarray:
+    """The pooled Gram matrix W that _stats reads, of all n_cycles cycles,
+    drawn from its law without drawing the cycles.  Refuses a law that does
+    not exist, a count numpy cannot draw and a W that is not finite.
+
+    Each channel's (a1, a2) pair is N(0, S), S = [[h, g], [g, h]] with h =
+    (1 + kappa2)/2 and g = kappa2 beta / 2, iid over both channels and all
+    cycles, so the pooled matrix is Wishart(S, 2 n_cycles).  The Bartlett
+    decomposition draws it as L A A^T L^T: L is S's Cholesky factor, A lower
+    triangular with A_ii = sqrt(chi2(2 n_cycles - i)) and one N(0, 1) below
+    the diagonal, seeded SeedSequence(seed, spawn_key=(0,)).
+    """
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
     if not 0.0 <= beta <= 1.0:
@@ -89,45 +95,6 @@ def _cycle_chunk(kappa2: float, beta: float, n_cycles: int):
         raise ValueError("n_cycles must be positive")
     if n_cycles >= 2**63:  # numpy draws and counts in int64
         raise ValueError("n_cycles must be below 2**63")
-    kappa, decay = np.sqrt(kappa2), np.sqrt(1.0 - beta**2)
-
-    def chunk(rng: np.random.Generator, start: int, count: int):
-        z = rng.standard_normal((count, 8))  # p, l1, w, l2 of channel a, then of b
-        z *= np.sqrt(0.5)
-        # one 1-D pass per outcome column: numpy loops over a (count, 2) slice row by row
-        cols, tmp = np.empty((4, count)), np.empty(count)
-        for c in (0, 1):
-            p, l1, w, l2 = z[:, c], z[:, 2 + c], z[:, 4 + c], z[:, 6 + c]
-            first, second = cols[c], cols[2 + c]  # l1 + kappa p, l2 + kappa (beta p + decay w)
-            np.add(l1, np.multiply(kappa, p, out=first), out=first)
-            np.add(np.multiply(beta, p, out=tmp), np.multiply(decay, w, out=second), out=second)
-            np.add(l2, np.multiply(kappa, second, out=second), out=second)
-        # the caller refuses sums that are not finite; errstate is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            return start, cols.T, cols @ cols.T
-
-    return chunk
-
-
-def _cycles(kappa2: float, beta: float, n_cycles: int, seed: int, parallel: int):
-    """(start, rows, rows.T @ rows) of each chunk in chunk order."""
-    chunk = _cycle_chunk(kappa2, beta, n_cycles)
-    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, seed, parallel)
-
-
-def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarray:
-    """The pooled Gram matrix that _stats reads, of all n_cycles cycles,
-    drawn from its law without drawing the cycles.
-
-    Each channel's (a1, a2) pair is N(0, S), S = [[h, g], [g, h]] with
-    h = (1 + kappa2)/2 and g = kappa2 beta / 2, iid over both channels and
-    all cycles, so the pooled matrix is Wishart(S, 2 n_cycles).  The Bartlett
-    decomposition draws it as L A A^T L^T: L is S's Cholesky factor, A lower
-    triangular with A_ii = sqrt(chi2(2 n_cycles - i)) and one N(0, 1) below
-    the diagonal, 3 random numbers at any n_cycles.  The draw is seeded
-    SeedSequence(seed, spawn_key=(0,)), the stream of chunk_map's chunk 0.
-    """
-    _cycle_chunk(kappa2, beta, n_cycles)  # refuses what the cycle kernel refuses
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
     # S's factor in closed form: g * g overflows where g * (g / h) does not
@@ -135,16 +102,60 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
     # float dof: 2 * n_cycles overflows int64 from n_cycles = 2**62
     bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n_cycles - np.arange(2))))
     bartlett[1, 0] = rng.standard_normal()
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the cycle kernel
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         half = factor @ bartlett
-        return half @ half.T
-
-
-def _finite_sums(gram: np.ndarray, kappa2: float) -> np.ndarray:
-    """gram, refused where an outcome sum in it is not finite."""
+        gram = half @ half.T
     if not np.isfinite(gram).all():
         raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
     return gram
+
+
+def _root(g00, g01, g11):
+    """(r00, r01, r11) of the upper triangular R with R^T R = [[g00, g01], [g01, g11]]."""
+    r00 = np.sqrt(g00)
+    return r00, g01 / r00, np.sqrt(g11 - g01 * (g01 / g00))
+
+
+def _whiten(x: np.ndarray, u) -> None:
+    """Maps the pairs (x, x') = (x[0:2], x[2:4]) in place by T = R^-1 U, R^T R
+    their Gram matrix, U = (u00, u01, u11): x = t00 x, x' = t01 x + t11 x'.
+    Twice, first with U = I (CholeskyQR2): once leaves errors of eps cond(R^T R).
+    x[4:6] is scratch.  Elementwise products and numpy sums, not BLAS."""
+    first, second, tmp = x[0:2], x[2:4], x[4:6]
+    for v in ((1.0, 0.0, 1.0), u):
+        r = _root(np.square(first, out=tmp).sum(), np.multiply(first, second, out=tmp).sum(),
+                  np.square(second, out=tmp).sum())
+        t00, t01, t11 = v[0] / r[0], (v[1] - r[1] * (v[2] / r[2])) / r[0], v[2] / r[2]
+        np.add(np.multiply(t11, second, out=second), np.multiply(t01, first, out=tmp), out=second)
+        first *= t00
+
+
+def _cycle_rows(gram: np.ndarray, n_cycles: int, seed: int, parallel: int):
+    """Blocks (cycle_index, a1, b1, a2, b2) of n_cycles cycles, iid N(0, S)
+    per channel, whose pooled Gram matrix is W = gram up to round-off.
+
+    Each chunk's Gram matrix G_j ~ Wishart(I, 2 count) is drawn up front as a
+    Bartlett factor A_j (spawn key (2,)); with R_X the upper root of X, M =
+    R_G^-1 R_W maps G = sum G_j to W.  Chunk j draws X_j, N(0, 1) pairs (x, x')
+    per cycle and channel with Gram matrix H_j (key (1, j)), and writes rows
+    X_j R_H^-1 A_j^T M, N(0, S) with Gram matrix W: X_j R_H^-1 is Haar on the
+    Stiefel manifold and independent of H_j (Muirhead 1982, ch. 2-3).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    counts = np.minimum(CYCLE_CHUNK, n_cycles - np.arange(0, n_cycles, CYCLE_CHUNK))
+    a = np.zeros((6, len(counts)))  # the A_j^T stacked: (a00, 0) over (a10, a11)
+    a[[0, 3]] = np.sqrt(rng.chisquare(2.0 * counts - np.arange(2)[:, None]))
+    a[2] = rng.standard_normal(len(counts))
+    _whiten(a, _root(gram[0, 0], gram[0, 1], gram[1, 1]))  # to the A_j^T M
+
+    def chunk(rng: np.random.Generator, start: int, count: int):
+        x = np.empty((6, count))  # x of channels a and b, then their x', then scratch
+        rng.standard_normal(out=x[:4])
+        _whiten(x, a[[0, 2, 3], start // CYCLE_CHUNK])
+        return np.arange(start, start + count), *x[:4]
+
+    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, np.random.SeedSequence(seed, spawn_key=(1,)),
+                     parallel)
 
 
 def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
@@ -174,9 +185,13 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     The verdict, entangled, is cond_var < 1 + kappa^2, or None where the first
     pulse fails calibration (the bound's premise) or 1 + kappa2 rounds to 1.
 
-    cond_var is refused when it does not exceed its rounding bound, 2 eps
-    (|S22| + |2 alpha S12| + alpha^2 S11) / (n - 1): the four roundings of
-    eps/2 per term from the Gram entries on, before the Gram sums' own.
+    cond_var is refused when it does not exceed its rounding bound, 3 eps
+    (var2 + 3 alpha^2 var1), 3 eps (S22 + |2 alpha S12| + alpha^2 S11) / (n - 1):
+    2 eps for the four roundings of eps/2 per term of its evaluation from S,
+    eps for S's entries' own, one rounding each in S11 and S12 and two in S22
+    (_gram_draw's 2x2 product).  cond_var is evaluated halved, which moves no
+    bit: alpha S12 <= S22, so neither it nor its bound overflows where var1 and
+    var2 do not, and a refusal names lost digits or an overflow, whichever it is.
     """
     if n < 2:
         raise ValueError("need at least two cycles")
@@ -184,9 +199,9 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
         first, cross, second = gram[0, 0], gram[0, 1], gram[1, 1]
         alpha = float(cross) / float(first)
         var1, var2 = float(first / (n - 1)), float(second / (n - 1))
-        cond = float((second - 2.0 * alpha * cross + alpha**2 * first) / (n - 1))
-        rounding = float(2.0 * np.finfo(float).eps * (
-            abs(second) + abs(2.0 * alpha * cross) + alpha**2 * first) / (n - 1))
+        cond = 2.0 * float((second / 2.0 - alpha * cross + alpha**2 * (first / 2.0)) / (n - 1))
+        eps = np.finfo(float).eps  # scales each term first: no overflow where var2 has none
+        rounding = 3.0 * eps * var2 + 9.0 * eps * alpha**2 * var1
     bound = 1.0 + kappa2
     atomic = (cond - 1.0) / kappa2 if kappa2 > 0 else float("nan")
     # first pulse must look quantum-noise limited: var1 = 1 + kappa^2 to 5 sigma
@@ -206,35 +221,18 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
 
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
                        parallel: int = 1, out: str | None = None) -> CycleStats:
-    """CycleStats of n_cycles measurement cycles, drawn in seeded chunks and
-    reduced as they arrive, so none is kept.
+    """CycleStats of n_cycles measurement cycles, from the pooled Gram matrix
+    W that _gram_draw draws, as density_sweep does: O(1) at any n_cycles.
 
-    With `out`, each chunk's rows also go to a cycle_index, a1, b1, a2, b2
-    CSV as they arrive.  Raises ValueError when _stats or _finite_sums refuses
-    the statistics or the outcome sums: for sums that overflow in the first
-    chunk, before `out` is opened; otherwise while it is open, so that
-    `open_output` leaves `out` as it was: still absent, or an existing regular
-    file unchanged.  A symlink or a device is written in place.
+    With `out`, the cycles of _cycle_rows, whose pooled Gram matrix is W, go
+    to a cycle_index, a1, b1, a2, b2 CSV in one pass.  Raises ValueError when
+    _gram_draw or _stats refuses W or the statistics, before `out` is opened.
     """
-    stats = None
-
-    def blocks():
-        nonlocal stats
-        gram = 0
-        for start, rows, chunk_gram in _cycles(kappa2, beta, n_cycles, seed, parallel):
-            with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_sums
-                gram = _finite_sums(gram + chunk_gram, kappa2)
-            yield start, rows
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _stats
-            pooled = gram[0::2, 0::2] + gram[1::2, 1::2]
-        stats = _stats(pooled, n_cycles, kappa2, beta)  # refused while write_csv holds `out` open
-
-    if out is None:
-        for _ in blocks():
-            pass
-    else:
+    gram = _gram_draw(kappa2, beta, n_cycles, seed)
+    stats = _stats(gram, n_cycles, kappa2, beta)
+    if out is not None:
         write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"),
-                  ((np.arange(start, start + len(rows)), *rows.T) for start, rows in blocks()))
+                  _cycle_rows(gram, n_cycles, seed, parallel))
     return stats
 
 
@@ -341,8 +339,7 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        gram = _gram_draw(kappa2, beta, n_cycles, int(row_seed))
-        stats = _stats(_finite_sums(gram, kappa2), n_cycles, kappa2, beta)
+        stats = _stats(_gram_draw(kappa2, beta, n_cycles, int(row_seed)), n_cycles, kappa2, beta)
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
         rows.append(SweepRow(

@@ -1,5 +1,6 @@
 """Measurement-cycle Monte Carlo, statistics, verdicts, density sweep."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -30,10 +31,11 @@ N = 100_000
 
 
 def cycles(kappa2, beta, n, seed, parallel=1):
-    """The (n, 4) rows (a1, b1, a2, b2) that stream_cycle_stats reduces: the
-    chunks of experiment._cycles, concatenated."""
-    return np.concatenate([rows for _, rows, _ in spinlight.experiment._cycles(
-        kappa2, beta, n, seed, parallel)])
+    """The (n, 4) rows (a1, b1, a2, b2) that stream_cycle_stats writes with
+    `out`: the blocks of experiment._cycle_rows for _gram_draw's W, stacked."""
+    gram = spinlight.experiment._gram_draw(kappa2, beta, n, seed)
+    return np.concatenate([np.column_stack(block[1:]) for block in
+                           spinlight.experiment._cycle_rows(gram, n, seed, parallel)])
 
 
 def miscalibrated_stats(n):
@@ -44,19 +46,56 @@ def miscalibrated_stats(n):
     return _stats((n - 1) * np.array([[2 * h, 2 * g], [2 * g, 2 * h]]), n, 1.0, 1.0)
 
 
-def reference_chunks(kappa2, beta, n, seed):
-    """(rows, rows.T @ rows) per chunk from the row-major (count, 8) expression
-    that the column-major cycle kernel must reproduce bit for bit."""
-    kappa = np.sqrt(kappa2)
-    for i, start in enumerate(range(0, n, CYCLE_CHUNK)):
-        count = min(CYCLE_CHUNK, n - start)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        z = np.sqrt(0.5) * rng.standard_normal((count, 8))
-        p, l1, w, l2 = z[:, 0:2], z[:, 2:4], z[:, 4:6], z[:, 6:8]
-        rows = np.empty((count, 4))
-        rows[:, 0:2] = l1 + kappa * p
-        rows[:, 2:4] = l2 + kappa * (beta * p + np.sqrt(1.0 - beta**2) * w)
-        yield rows, rows.T @ rows
+def reference_cycles(kappa2, beta, n, seed):
+    """(W, rows): the pooled Gram matrix and the (n, 4) rows (a1, b1, a2, b2)
+    of run, restated from the draw's definition with numpy alone, in the
+    arithmetic the package must reproduce bit for bit.
+
+    W = L A A^T L^T is Wishart(S, 2n) by Bartlett (stream (0,)).  Chunk j's
+    Bartlett factor A_j of Wishart(I, 2 count) comes from stream (2,), all
+    chunks' diagonals first; its cycles' standard normals, a (4, count) block
+    X_j, from stream (1, j).  A pair of columns is whitened by the upper
+    Cholesky factor R of its Gram matrix, twice; the stacked A_j^T, whitened
+    and mapped by R_W, give A_j^T M, and each chunk's pairs (x, x') of both
+    channels, whitened and mapped by A_j^T M, give its (a1, a2)."""
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+    def upper_root(g00, g01, g11):  # R with R^T R = G, as (r00, r01, r11)
+        return np.sqrt(g00), g01 / np.sqrt(g00), np.sqrt(g11 - g01 * (g01 / g00))
+
+    def whiten(first, second, u=(1.0, 0.0, 1.0)):  # the columns times R^-1 U
+        r = upper_root(np.sum(first * first), np.sum(first * second), np.sum(second * second))
+        t00, t01, t11 = u[0] / r[0], (u[1] - r[1] * (u[2] / r[2])) / r[0], u[2] / r[2]
+        return t00 * first, t01 * first + t11 * second
+
+    rng = stream(0)
+    h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
+    low = np.array([[np.sqrt(h), 0.0], [g / np.sqrt(h), np.sqrt(h - g * (g / h))]])
+    bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n - np.arange(2))))
+    bartlett[1, 0] = rng.standard_normal()
+    half = low @ bartlett
+    gram = half @ half.T
+
+    starts = range(0, n, CYCLE_CHUNK)
+    counts = np.array([min(CYCLE_CHUNK, n - start) for start in starts], dtype=float)
+    m = len(counts)
+    rng = stream(2)
+    chi = np.sqrt(rng.chisquare(np.concatenate([2.0 * counts, 2.0 * counts - 1.0])))
+    first = np.concatenate([chi[:m], np.zeros(m)])  # A_j^T's first column, then its zero
+    second = np.concatenate([rng.standard_normal(m), chi[m:]])
+    first, second = whiten(first, second)
+    first, second = whiten(first, second, upper_root(gram[0, 0], gram[0, 1], gram[1, 1]))
+    rows = []
+    for j, count in enumerate(counts.astype(int)):
+        x = stream(1, j).standard_normal((4, count))
+        pairs = whiten(x[:2].ravel(), x[2:].ravel())  # x and x' of channel a, then of b
+        pairs = whiten(*pairs, (first[j], second[j], second[m + j]))
+        cycle = np.empty((count, 4))
+        cycle[:, 0:2] = pairs[0].reshape(2, -1).T
+        cycle[:, 2:4] = pairs[1].reshape(2, -1).T
+        rows.append(cycle)
+    return gram, np.concatenate(rows)
 
 
 class TestRunCycles:
@@ -89,25 +128,22 @@ class TestRunCycles:
            parallel=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, parallel, seed):
-        chunks = list(reference_chunks(kappa2, beta, n, seed))
-        rows = np.concatenate([rows for rows, _ in chunks])
-        assert cycles(kappa2, beta, n, seed, parallel=parallel).tobytes() == rows.tobytes()
-        # the pooled Gram matrix that stream_cycle_stats hands to _stats, of the
-        # chunks' Gram matrices summed in chunk order
-        summed, stats_of_gram = [], spinlight.experiment._stats
+        want_gram, want_rows = reference_cycles(kappa2, beta, n, seed)
+        assert cycles(kappa2, beta, n, seed, parallel=parallel).tobytes() == want_rows.tobytes()
+        # the Gram matrix that stream_cycle_stats hands to _stats is the reference's W
+        handed, stats_of_gram = [], spinlight.experiment._stats
 
         def spy(gram, *args):
-            summed.append(gram)
+            handed.append(gram)
             return stats_of_gram(gram, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spinlight.experiment, "_stats", spy)
             try:
                 stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel)
-            except ValueError:  # a single cycle is refused after the sum
+            except ValueError:  # a single cycle is refused by _stats
                 assert n == 1
-        gram = sum(gram for _, gram in chunks)
-        assert summed[0].tobytes() == (gram[0::2, 0::2] + gram[1::2, 1::2]).tobytes()
+        assert handed[0].tobytes() == want_gram.tobytes()
 
     def test_record_access(self):
         assert cycles(1.0, 1.0, 10, seed=9).shape == (10, 4)
@@ -138,8 +174,9 @@ class TestStreamedStats:
         assert repr(outcome(parallel)) == repr(stats)
         if isinstance(stats, str):
             return
-        # the Gram-matrix sums against direct sums over the materialized cycles
-        rows = cycles(kappa2, beta, n, seed)
+        # the statistics of the drawn Gram matrix against direct sums over the
+        # cycles that --out writes with it
+        rows = cycles(kappa2, beta, n, seed, parallel=parallel)
         a1, b1, a2, b2 = rows.T
         var1, var2 = (a1 @ a1 + b1 @ b1) / (n - 1), (a2 @ a2 + b2 @ b2) / (n - 1)
         assert stats.var1 == pytest.approx(var1, rel=1e-12)
@@ -173,20 +210,20 @@ class TestStreamedStats:
         assert not path.exists()
 
     def test_overflow_of_the_chunk_sum_refused(self):
-        # each chunk's sum of a1^2 is about 1.2e308, finite; two of them are not
+        # the drawn sum of a1^2 + b1^2, about 3e304 chi2(4 CYCLE_CHUNK), overflows
         with pytest.raises(ValueError, match="not finite"):
             stream_cycle_stats(6e304, 1.0, 2 * CYCLE_CHUNK, seed=1)
 
     def test_chunk_windows_match_serial(self):
-        # parallel 2 hands the pool 128 chunks at a time: cover two windows and a partial
-        n = 2 * 128 * CYCLE_CHUNK + 5
+        # parallel 2 hands the pool 32 chunks at a time: cover two windows and a partial
+        n = 2 * 32 * CYCLE_CHUNK + 5
         assert np.array_equal(cycles(0.6, 0.9, n, seed=57),
                               cycles(0.6, 0.9, n, seed=57, parallel=2))
         streamed = stream_cycle_stats(0.6, 0.9, n, seed=57, parallel=2)
         assert repr(streamed) == repr(stream_cycle_stats(0.6, 0.9, n, seed=57))
 
     def test_matches_direct_sums(self):
-        # the Gram-matrix route differs from the direct sums by round-off only
+        # the drawn Gram matrix differs from the written cycles' sums by round-off only
         n = 3 * CYCLE_CHUNK + 17
         rows = cycles(1.449, 0.65, n, seed=61)
         stats = stream_cycle_stats(1.449, 0.65, n, seed=61)
@@ -201,6 +238,59 @@ class TestStreamedStats:
         for args in ((-1.0, 1.0, 10), (1.0, 1.5, 10), (1.0, 1.0, 0), (1.0, 1.0, 1)):
             with pytest.raises(ValueError):
                 stream_cycle_stats(*args, seed=0)
+
+
+class TestCycleRows:
+    """The cycles that run --out writes: their Gram matrix is the drawn one
+    that the summary is computed from, and their law is N(0, S) per channel."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, CYCLE_CHUNK - 1, CYCLE_CHUNK, CYCLE_CHUNK + 1])
+    def test_csv_gram_matrix_is_the_drawn_one(self, tmp_path, n, parallel):
+        # entry ij within 16 eps sqrt(W_ii W_jj), summed exactly here: 3 times the
+        # most seen, 4.99 eps, over 10000 draws each at 2, 3 and 5 cycles, 300 at
+        # 8193 and 20 at 150000.  Whitened once, not twice, 2 cycles reached 536 eps
+        path = tmp_path / "cycles.csv"
+        stream_cycle_stats(1.0, 0.65, n, seed=71, parallel=parallel, out=str(path))
+        a1, b1, a2, b2 = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:].T
+        sums = [[math.fsum(np.concatenate([u * v, p * q])) for v, q in ((a1, b1), (a2, b2))]
+                for u, p in ((a1, b1), (a2, b2))]
+        gram = spinlight.experiment._gram_draw(1.0, 0.65, n, seed=71)
+        scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+        assert (np.abs(np.array(sums) - gram) <= 16 * np.finfo(float).eps * scale).all()
+
+    def test_blocks_of_rows_are_wishart_over_seeds(self):
+        # 512 cycles pool 1024 iid N(0, S) pairs, so their Gram matrix is
+        # Wishart(S, 1024): mean 1024 S_ij, variance 1024 (S_ij^2 + S_ii S_jj).
+        # The first block lies in chunk 0, the last spans chunks 0 and 1
+        n, k, kappa2, beta = CYCLE_CHUNK + 4, 1024, 1.0, 0.65
+        h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
+        cov = np.array([[h, g], [g, h]])
+        grams = []
+        for seed in range(300):
+            rows = cycles(kappa2, beta, n, seed)
+            grams.append([pairs.T @ pairs for pairs in (
+                np.concatenate([rows[block, 0::2], rows[block, 1::2]])
+                for block in (slice(0, 512), slice(n - 512, n)))])
+        grams = np.array(grams)  # (seed, block, 2, 2)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            law = (k * cov[i, j], k * (cov[i, j] ** 2 + cov[i, i] * cov[j, j]))
+            for block in (0, 1):
+                TestSamplingLaws.assert_law(grams[:, block, i, j], law, f"W{i}{j} of block {block}")
+
+    def test_streams_are_disjoint(self, monkeypatch, tmp_path):
+        # W, the chunks' Bartlett factors and each chunk's cycles draw from
+        # streams of their own: no two share a SeedSequence
+        keys, default_rng = [], np.random.default_rng
+
+        def spy(seq):
+            keys.append((seq.entropy, tuple(seq.spawn_key)))
+            return default_rng(seq)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        stream_cycle_stats(1.0, 0.65, 2 * CYCLE_CHUNK + 1, seed=5, out=str(tmp_path / "c.csv"))
+        assert len(keys) == 5  # W, the factors, three chunks
+        assert len(set(keys)) == len(keys)
 
 
 class TestAlpha:
@@ -300,6 +390,18 @@ class TestVerdict:
     def test_cond_var_below_its_rounding_refused(self, kappa2, n):
         with pytest.raises(ValueError, match="no correct digit"):
             stream_cycle_stats(kappa2, 1.0, n, seed=1)
+
+    def test_cond_var_evaluated_halved(self):
+        # halving moves no bit of cond_var where the plain Gram form is finite ...
+        for kappa2, seed in ((1e-6, 1), (1.0, 2), (1e8, 3), (1e15, 4)):
+            gram, n = spinlight.experiment._gram_draw(kappa2, 0.65, 100, seed), 100
+            alpha = gram[0, 1] / gram[0, 0]
+            plain = (gram[1, 1] - 2.0 * alpha * gram[0, 1] + alpha**2 * gram[0, 0]) / (n - 1)
+            assert _stats(gram, n, kappa2, 0.65).cond_var == plain
+        # ... and keeps it finite where 2 alpha S12, about 1.9e308, overflows: the
+        # model's 0.36 kappa2 within 5 standard errors, not a refusal
+        stats = stream_cycle_stats(1.5e306, 0.8, 100, seed=1)
+        assert stats.cond_var == pytest.approx(0.36 * 1.5e306, rel=5 * np.sqrt(2 / 199))
 
     @pytest.mark.parametrize("beta", [1.0, 0.65, 0.0])
     def test_definitional_bound(self, beta):
@@ -460,13 +562,12 @@ class TestDensitySweep:
 
 
 class TestSamplingLaws:
-    """The streamed reduction of run's cycles and the sweep's one Wishart
-    draw per point against the exact laws of linear_oracle.cycle_stat_laws,
-    in mean and variance, over many seeds.  8 cycles show the laws' degrees
-    of freedom; CYCLE_CHUNK + 4 span two of the cycle kernel's chunks.  The
-    sweep's draw also runs at 2 cycles, the fewest a command accepts, whose
-    last Bartlett diagonal is sqrt(chi2(3)), at 4, and at 10**12, which only
-    it can reach."""
+    """The one Wishart draw of run's and the sweep's statistics against the
+    exact laws of linear_oracle.cycle_stat_laws, in mean and variance, over
+    many seeds.  8 cycles show the laws' degrees of freedom; CYCLE_CHUNK + 4
+    span two chunks of the cycles that run --out writes.  The sweep also runs
+    at 2 cycles, the fewest a command accepts, whose last Bartlett diagonal
+    is sqrt(chi2(3)), at 4, and at 10**12."""
 
     BETAS = (0.65, 1.0, 0.0)
     THETAS = (0.0, 10.0, 40.0)  # kappa2 = 0, 1, 4

@@ -254,13 +254,14 @@ class TestBlocks:
 def test_run_csv_bytes_pinned(tmp_path, capsys):
     """The run CSV hashes to what per-value formatting wrote.
 
-    Its columns come from PCG64 normals and correctly rounded sqrt, products
-    and sums, not from BLAS, so the bytes hold wherever numpy draws the same
-    normals.
+    Its columns come from PCG64 draws and correctly rounded sqrt, quotients,
+    elementwise products and numpy sums; the one BLAS input is W itself, the
+    2x2 product in experiment._gram_draw, as for sweep.  So the bytes hold
+    wherever numpy draws the same numbers, at any --parallel and BLAS threads.
     """
     path = tmp_path / "cycles.csv"
     assert main(["run", "--kappa2", "1", "--beta", "0.65", "--cycles", "12305",
                  "--seed", "1111", "--parallel", "2", "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d5db83f4eea7e2d32f7b32c0bb39a0b658427732076848722f10dc18b20dc7da")
+        "9c1188b949b844018d37952eb90e67bd0721d5495a64ae2f5f8731d59f7cfac7")
