@@ -2,10 +2,12 @@
 
 Configuration is a flat ``key = value`` text file mirroring the flag names
 (underscored); command-line flags override file values.  All outputs are
-deterministic for a fixed seed, independent of the --parallel level.
+deterministic for a fixed seed.  Every command runs on one thread;
+--parallel is accepted (>= 1) and changes nothing.
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 internal
-invariant violation, 4 gate failed (``timedomain`` printed ``overall = FAIL``).
+Exit codes: 0 success, 1 usage/config error or a size that memory cannot
+hold, 2 I/O error, 3 internal invariant violation, 4 gate failed
+(``timedomain`` printed ``overall = FAIL``).
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 def cmd_run(config: RunConfig) -> int:
     stats = experiment.stream_cycle_stats(config.resolve_kappa2(), config.beta, config.cycles,
-                                          config.seed, parallel=config.parallel, out=config.out)
+                                          config.seed, out=config.out)
     sys.stdout.write(experiment.summary_text(stats))
     return 0
 
@@ -272,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args)
         return _COMMANDS[args.command][1](config)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -17,7 +17,7 @@ timedomain check of the time-domain engine against the symplectic engine.
 The statistics need only the 2x2 Gram matrix of both channels' (a1, a2)
 pairs, which run and sweep draw from its Wishart law (_gram_draw).  run's
 CSV holds cycles with that Gram matrix (_cycle_rows), drawn in the seeded
-chunks of spinlight.chunks, so any parallelism writes the same bytes.
+chunks of spinlight.chunks.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from .chunks import chunk_map
 from .output import _fmt, write_csv
 from .physics import kappa2_experimental
 
-#: Cycles simulated per RNG stream; fixed so parallel scheduling cannot
-#: change the output.  8192 cycles draw 32768 normals, as 4096 did at 8 per
-#: cycle; at 4096, glibc trimmed and regrew the heap between CSV blocks.
+#: Cycles simulated per RNG stream; fixed because the chunk index keys each
+#: stream, so another size would draw other numbers.  8192 cycles draw 32768
+#: normals, as 4096 did at 8 per cycle; at 4096, glibc trimmed and regrew the
+#: heap between CSV blocks.
 CYCLE_CHUNK = 8192
 
 
@@ -97,8 +98,8 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
         raise ValueError("n_cycles must be below 2**63")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
-    # S's factor in closed form: g * g overflows where g * (g / h) does not
-    factor = np.array([[np.sqrt(h), 0.0], [g / np.sqrt(h), np.sqrt(h - g * (g / h))]])
+    r00, r01, r11 = _root(h, g, h)
+    factor = np.array([[r00, 0.0], [r01, r11]])  # R^T, S's Cholesky factor
     # float dof: 2 * n_cycles overflows int64 from n_cycles = 2**62
     bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n_cycles - np.arange(2))))
     bartlett[1, 0] = rng.standard_normal()
@@ -113,6 +114,7 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
 def _root(g00, g01, g11):
     """(r00, r01, r11) of the upper triangular R with R^T R = [[g00, g01], [g01, g11]]."""
     r00 = np.sqrt(g00)
+    # g01 * g01 overflows where g01 * (g01 / g00) does not
     return r00, g01 / r00, np.sqrt(g11 - g01 * (g01 / g00))
 
 
@@ -130,7 +132,7 @@ def _whiten(x: np.ndarray, u) -> None:
         first *= t00
 
 
-def _cycle_rows(gram: np.ndarray, n_cycles: int, seed: int, parallel: int):
+def _cycle_rows(gram: np.ndarray, n_cycles: int, seed: int):
     """Blocks (cycle_index, a1, b1, a2, b2) of n_cycles cycles, iid N(0, S)
     per channel, whose pooled Gram matrix is W = gram up to round-off.
 
@@ -154,8 +156,7 @@ def _cycle_rows(gram: np.ndarray, n_cycles: int, seed: int, parallel: int):
         _whiten(x, a[[0, 2, 3], start // CYCLE_CHUNK])
         return np.arange(start, start + count), *x[:4]
 
-    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, np.random.SeedSequence(seed, spawn_key=(1,)),
-                     parallel)
+    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, np.random.SeedSequence(seed, spawn_key=(1,)))
 
 
 def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
@@ -220,7 +221,7 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
 
 
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
-                       parallel: int = 1, out: str | None = None) -> CycleStats:
+                       out: str | None = None) -> CycleStats:
     """CycleStats of n_cycles measurement cycles, from the pooled Gram matrix
     W that _gram_draw draws, as density_sweep does: O(1) at any n_cycles.
 
@@ -232,7 +233,7 @@ def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
     stats = _stats(gram, n_cycles, kappa2, beta)
     if out is not None:
         write_csv(out, ("cycle_index", "a1", "b1", "a2", "b2"),
-                  _cycle_rows(gram, n_cycles, seed, parallel))
+                  _cycle_rows(gram, n_cycles, seed))
     return stats
 
 

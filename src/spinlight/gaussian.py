@@ -1,7 +1,7 @@
 """Exact Gaussian-state engine over labeled quadrature modes.
 
 States are value objects: every operation returns a new state and never
-mutates its input, so states can be fanned out across parallel workers
+mutates its input, so one state can feed any number of operations
 freely.  Conventions: mode-major quadrature ordering (X0, P0, X1, P1, ...),
 [X, P] = i, vacuum variance 1/2 on every quadrature.
 

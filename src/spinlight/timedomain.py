@@ -64,8 +64,8 @@ class LockInResult:
 def _pulse(kappa: float, omega_T: float, n_steps: int):
     """The set-up every kernel goes through: refuse what the scheme cannot integrate
     or demodulate, then the grid: dt, the midpoint cos/sin samples and their exact norms."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    if not 0 <= kappa < np.inf:
+        raise ValueError("kappa must be >= 0 and finite")
     cycles = omega_T / (2.0 * np.pi)
     # 2 pi k / (2 pi) can round an ulp above the whole count k: allow 4 ulps
     if n_steps < STEPS_PER_CYCLE * cycles * (1.0 - 4.0 * np.finfo(float).eps):
@@ -166,20 +166,23 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     """Monte Carlo over pulses with vacuum atomic input.
 
     Returns an array of shape (n_runs, 6) with columns
-    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), drawn in the seeded
-    chunks of spinlight.chunks, serially.  Each row is z F^T for z ~ N(0, I_8),
+    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), filled in the seeded
+    chunks of spinlight.chunks.  Each row is z F^T for z ~ N(0, I_8),
     F F^T = pulse_covariance: O(1) cost per run.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     f = _pulse_map(kappa, omega_T, n_steps)
+    rows = np.empty((n_runs, 6))
 
-    def chunk(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
+    def chunk(rng: np.random.Generator, start: int, count: int):
         atoms = rng.standard_normal((count, 4))  # xa1 pa1 xa2 pa2
         noise = rng.standard_normal((4, count))  # xi.c xi.s, zeta.c zeta.s
-        return np.hstack([atoms, noise.T]) @ f.T
+        return start, np.hstack([atoms, noise.T]) @ f.T
 
-    return np.concatenate(list(chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, seed)))
+    for start, block in chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, np.random.SeedSequence(seed)):
+        rows[start:start + len(block)] = block
+    return rows
 
 
 def pulse_covariance(kappa: float, omega_T: float, n_steps: int) -> np.ndarray:

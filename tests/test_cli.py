@@ -702,3 +702,22 @@ class TestParallelDeterminism:
             ref_bytes, ref_out = TestParallelDeterminism._reference
             assert path.read_bytes() == ref_bytes
             assert out == ref_out
+
+
+class TestSizeBeyondMemory:
+    # each asks for an array beyond the 128 TiB user address space, so the
+    # allocation fails at once under any overcommit setting and touches nothing
+    @pytest.mark.parametrize("argv", [
+        ("protocol", "--protocol", "swap", "--kappa2", "4", "--cycles", "1000000000000000"),
+        ("run", "--kappa2", "1", "--cycles", "9223372036854775807"),
+        ("timedomain", "--cycles", "1000000000000000")], ids=lambda argv: argv[0])
+    def test_refused_in_one_line(self, tmp_path, argv):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "spinlight.cli", *argv,
+                               "--out", str(tmp_path / "out.csv")],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", done.stderr)
+        assert list(tmp_path.iterdir()) == []

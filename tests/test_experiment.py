@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinlight.experiment
+from spinlight.cli import main
 from spinlight.experiment import (
     CYCLE_CHUNK,
     _stats,
@@ -30,12 +31,12 @@ from linear_oracle import conditional_variance, cycle_stat_laws
 N = 100_000
 
 
-def cycles(kappa2, beta, n, seed, parallel=1):
+def cycles(kappa2, beta, n, seed):
     """The (n, 4) rows (a1, b1, a2, b2) that stream_cycle_stats writes with
     `out`: the blocks of experiment._cycle_rows for _gram_draw's W, stacked."""
     gram = spinlight.experiment._gram_draw(kappa2, beta, n, seed)
     return np.concatenate([np.column_stack(block[1:]) for block in
-                           spinlight.experiment._cycle_rows(gram, n, seed, parallel)])
+                           spinlight.experiment._cycle_rows(gram, n, seed)])
 
 
 def miscalibrated_stats(n):
@@ -116,20 +117,14 @@ class TestRunCycles:
     def test_seeded_determinism(self):
         assert np.array_equal(cycles(0.7, 0.9, 5000, seed=5), cycles(0.7, 0.9, 5000, seed=5))
 
-    def test_parallel_matches_serial(self):
-        # n chosen to straddle several chunk boundaries
-        serial = cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=1)
-        pooled = cycles(0.5, 0.8, 4096 * 2 + 7, seed=7, parallel=4)
-        assert np.array_equal(serial, pooled)
-
     @given(n=st.sampled_from([1, 2, CYCLE_CHUNK - 1, CYCLE_CHUNK, CYCLE_CHUNK + 1,
                               2 * CYCLE_CHUNK, 2 * CYCLE_CHUNK + 1]),
            kappa2=st.sampled_from([0.0, 1e-300, 1.0, 1e8]), beta=st.sampled_from([0.0, 0.65, 1.0]),
-           parallel=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, parallel, seed):
+    def test_kernel_matches_reference_bitwise(self, n, kappa2, beta, seed):
         want_gram, want_rows = reference_cycles(kappa2, beta, n, seed)
-        assert cycles(kappa2, beta, n, seed, parallel=parallel).tobytes() == want_rows.tobytes()
+        assert cycles(kappa2, beta, n, seed).tobytes() == want_rows.tobytes()
         # the Gram matrix that stream_cycle_stats hands to _stats is the reference's W
         handed, stats_of_gram = [], spinlight.experiment._stats
 
@@ -140,7 +135,7 @@ class TestRunCycles:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spinlight.experiment, "_stats", spy)
             try:
-                stream_cycle_stats(kappa2, beta, n, seed, parallel=parallel)
+                stream_cycle_stats(kappa2, beta, n, seed)
             except ValueError:  # a single cycle is refused by _stats
                 assert n == 1
         assert handed[0].tobytes() == want_gram.tobytes()
@@ -158,25 +153,17 @@ class TestRunCycles:
 
 
 class TestStreamedStats:
-    @given(n=st.integers(2, 3 * CYCLE_CHUNK + 17), parallel=st.sampled_from([1, 2, 4]),
+    @given(n=st.integers(2, 3 * CYCLE_CHUNK + 17),
            kappa2=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_materialized_bitwise(self, n, parallel, kappa2, beta, seed):
-        def outcome(workers):
-            # repr round-trips every float exactly and treats nan (kappa2 = 0) as
-            # equal; a refusal (subnormal kappa2) must carry the same message
-            try:
-                return stream_cycle_stats(kappa2, beta, n, seed, parallel=workers)
-            except ValueError as exc:
-                return f"ValueError: {exc}"
-
-        stats = outcome(1)
-        assert repr(outcome(parallel)) == repr(stats)
-        if isinstance(stats, str):
+    def test_equals_materialized_bitwise(self, n, kappa2, beta, seed):
+        try:
+            stats = stream_cycle_stats(kappa2, beta, n, seed)
+        except ValueError:  # subnormal kappa2
             return
         # the statistics of the drawn Gram matrix against direct sums over the
         # cycles that --out writes with it
-        rows = cycles(kappa2, beta, n, seed, parallel=parallel)
+        rows = cycles(kappa2, beta, n, seed)
         a1, b1, a2, b2 = rows.T
         var1, var2 = (a1 @ a1 + b1 @ b1) / (n - 1), (a2 @ a2 + b2 @ b2) / (n - 1)
         assert stats.var1 == pytest.approx(var1, rel=1e-12)
@@ -192,13 +179,13 @@ class TestStreamedStats:
     @given(n=st.sampled_from([2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, CYCLE_CHUNK - 1,
                               CYCLE_CHUNK, CYCLE_CHUNK + 1, 2 * CYCLE_CHUNK + CSV_BLOCK_ROWS])
            | st.integers(2, 3 * CYCLE_CHUNK + 17),
-           parallel=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_streamed_csv_equals_one_block(self, tmp_path_factory, n, parallel, seed):
+    def test_streamed_csv_equals_one_block(self, tmp_path_factory, n, seed):
         tmp = tmp_path_factory.mktemp("csv")
         args = (0.7, 0.8, n, seed)
-        streamed = stream_cycle_stats(*args, parallel=parallel, out=str(tmp / "streamed.csv"))
-        assert repr(streamed) == repr(stream_cycle_stats(*args, parallel=parallel))
+        streamed = stream_cycle_stats(*args, out=str(tmp / "streamed.csv"))
+        assert repr(streamed) == repr(stream_cycle_stats(*args))
         write_csv(str(tmp / "whole.csv"), ("cycle_index", "a1", "b1", "a2", "b2"),
                   [(np.arange(n), *cycles(*args).T)])
         assert (tmp / "streamed.csv").read_bytes() == (tmp / "whole.csv").read_bytes()
@@ -213,14 +200,6 @@ class TestStreamedStats:
         # the drawn sum of a1^2 + b1^2, about 3e304 chi2(4 CYCLE_CHUNK), overflows
         with pytest.raises(ValueError, match="not finite"):
             stream_cycle_stats(6e304, 1.0, 2 * CYCLE_CHUNK, seed=1)
-
-    def test_chunk_windows_match_serial(self):
-        # parallel 2 hands the pool 32 chunks at a time: cover two windows and a partial
-        n = 2 * 32 * CYCLE_CHUNK + 5
-        assert np.array_equal(cycles(0.6, 0.9, n, seed=57),
-                              cycles(0.6, 0.9, n, seed=57, parallel=2))
-        streamed = stream_cycle_stats(0.6, 0.9, n, seed=57, parallel=2)
-        assert repr(streamed) == repr(stream_cycle_stats(0.6, 0.9, n, seed=57))
 
     def test_matches_direct_sums(self):
         # the drawn Gram matrix differs from the written cycles' sums by round-off only
@@ -249,9 +228,11 @@ class TestCycleRows:
     def test_csv_gram_matrix_is_the_drawn_one(self, tmp_path, n, parallel):
         # entry ij within 16 eps sqrt(W_ii W_jj), summed exactly here: 3 times the
         # most seen, 4.99 eps, over 10000 draws each at 2, 3 and 5 cycles, 300 at
-        # 8193 and 20 at 150000.  Whitened once, not twice, 2 cycles reached 536 eps
+        # 8193 and 20 at 150000.  Whitened once, not twice, 2 cycles reached 536 eps.
+        # Written by the command, whose --parallel changes no byte
         path = tmp_path / "cycles.csv"
-        stream_cycle_stats(1.0, 0.65, n, seed=71, parallel=parallel, out=str(path))
+        assert main(["run", "--kappa2", "1", "--beta", "0.65", "--cycles", str(n), "--seed", "71",
+                     "--parallel", str(parallel), "--out", str(path)]) == 0
         a1, b1, a2, b2 = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:].T
         sums = [[math.fsum(np.concatenate([u * v, p * q])) for v, q in ((a1, b1), (a2, b2))]
                 for u, p in ((a1, b1), (a2, b2))]

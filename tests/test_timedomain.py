@@ -85,6 +85,9 @@ class TestSimulatePulse:
         (1.0, N_STEPS - 1, "n_steps=1999 under-resolves", OMEGA_T),
         (-1.0, N_STEPS, "kappa must be >= 0", OMEGA_T),
         (-1.0, 500, "kappa must be >= 0", OMEGA_T),
+        # nan passed kappa < 0 and gave nan rows; inf warned in the matmul
+        (np.nan, N_STEPS, "kappa must be >= 0 and finite", OMEGA_T),
+        (np.inf, N_STEPS, "kappa must be >= 0 and finite", OMEGA_T),
         # no sin weight, then no weight at all: the Gram matrix has no Cholesky factor
         (1.0, N_STEPS, "omega_T=0.0 leaves a lock-in channel with no weight", 0.0),
         (1.0, N_STEPS, "omega_T=nan leaves a lock-in channel with no weight", np.nan)])
