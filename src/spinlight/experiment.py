@@ -16,8 +16,8 @@ timedomain check of the time-domain engine against the symplectic engine.
 
 The statistics need only the 2x2 Gram matrix of both channels' (a1, a2)
 pairs, which run and sweep draw from its Wishart law (_gram_draw).  run's
-CSV holds cycles with that Gram matrix (_cycle_rows), drawn in the seeded
-chunks of spinlight.chunks.
+CSV holds cycles with that Gram matrix (_cycle_rows), drawn in chunks that
+each draw from a child of SeedSequence(seed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from . import gaussian, timedomain
-from .chunks import chunk_map
 from .output import _fmt, write_csv
 from .physics import kappa2_experimental
 
@@ -86,7 +85,7 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
     cycles, so the pooled matrix is Wishart(S, 2 n_cycles).  The Bartlett
     decomposition draws it as L A A^T L^T: L is S's Cholesky factor, A lower
     triangular with A_ii = sqrt(chi2(2 n_cycles - i)) and one N(0, 1) below
-    the diagonal, seeded SeedSequence(seed, spawn_key=(0,)).
+    the diagonal, drawn from SeedSequence(seed)'s first child, key (0,).
     """
     if kappa2 < 0:
         raise ValueError("kappa2 must be >= 0")
@@ -96,7 +95,7 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
         raise ValueError("n_cycles must be positive")
     if n_cycles >= 2**63:  # numpy draws and counts in int64
         raise ValueError("n_cycles must be below 2**63")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
     r00, r01, r11 = _root(h, g, h)
     factor = np.array([[r00, 0.0], [r01, r11]])  # R^T, S's Cholesky factor
@@ -137,26 +136,25 @@ def _cycle_rows(gram: np.ndarray, n_cycles: int, seed: int):
     per channel, whose pooled Gram matrix is W = gram up to round-off.
 
     Each chunk's Gram matrix G_j ~ Wishart(I, 2 count) is drawn up front as a
-    Bartlett factor A_j (spawn key (2,)); with R_X the upper root of X, M =
-    R_G^-1 R_W maps G = sum G_j to W.  Chunk j draws X_j, N(0, 1) pairs (x, x')
-    per cycle and channel with Gram matrix H_j (key (1, j)), and writes rows
-    X_j R_H^-1 A_j^T M, N(0, S) with Gram matrix W: X_j R_H^-1 is Haar on the
-    Stiefel manifold and independent of H_j (Muirhead 1982, ch. 2-3).
+    Bartlett factor A_j (child (2,) of SeedSequence(seed)); with R_X the upper
+    root of X, M = R_G^-1 R_W maps G = sum G_j to W.  Chunk j draws X_j, N(0, 1)
+    pairs (x, x') per cycle and channel with Gram matrix H_j (child (1, j)), and
+    writes rows X_j R_H^-1 A_j^T M, N(0, S) with Gram matrix W: X_j R_H^-1 is
+    Haar on the Stiefel manifold and independent of H_j (Muirhead 1982, ch. 2-3).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    _, cycles, factors = np.random.SeedSequence(seed).spawn(3)
+    rng = np.random.default_rng(factors)
     counts = np.minimum(CYCLE_CHUNK, n_cycles - np.arange(0, n_cycles, CYCLE_CHUNK))
     a = np.zeros((6, len(counts)))  # the A_j^T stacked: (a00, 0) over (a10, a11)
     a[[0, 3]] = np.sqrt(rng.chisquare(2.0 * counts - np.arange(2)[:, None]))
     a[2] = rng.standard_normal(len(counts))
     _whiten(a, _root(gram[0, 0], gram[0, 1], gram[1, 1]))  # to the A_j^T M
-
-    def chunk(rng: np.random.Generator, start: int, count: int):
+    for j, count in enumerate(counts):
         x = np.empty((6, count))  # x of channels a and b, then their x', then scratch
-        rng.standard_normal(out=x[:4])
-        _whiten(x, a[[0, 2, 3], start // CYCLE_CHUNK])
-        return np.arange(start, start + count), *x[:4]
-
-    return chunk_map(chunk, n_cycles, CYCLE_CHUNK, np.random.SeedSequence(seed, spawn_key=(1,)))
+        np.random.default_rng(cycles.spawn(1)[0]).standard_normal(out=x[:4])
+        _whiten(x, a[[0, 2, 3], j])
+        start = j * CYCLE_CHUNK
+        yield np.arange(start, start + count), *x[:4]
 
 
 def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:

@@ -116,14 +116,15 @@ def teleport_spin_state(input_disp: tuple[float, float], kappa2: float,
         raise ValueError("n_runs must be >= 1")
     dx, dp = float(input_disp[0]), float(input_disp[1])
     kappa = float(np.sqrt(kappa2))
-    coeff = gain * np.sqrt(2.0) / kappa if kappa > 0 else 0.0
 
     rng = np.random.default_rng(seed)
     state = vacuum_state(3, ["cell1", "cell2", "cell3"], batch=(n_runs,))
     state = displace(state, "cell3", dx, dp)
     a1, b1, state = entangling_pulse(state, "cell1", "cell2", kappa, rng)
     a2, b2, state = entangling_pulse(state, "cell1", "cell3", kappa, rng)
-    disp_x, disp_p = coeff * (b2 - b1), coeff * (a1 - a2)
+    with np.errstate(over="ignore", invalid="ignore"):  # displace refuses what overflows
+        coeff = gain * np.sqrt(2.0) / kappa if kappa > 0 else 0.0
+        disp_x, disp_p = coeff * (b2 - b1), coeff * (a1 - a2)
     state = displace(state, "cell2", disp_x, disp_p)
     fidelities = coherent_fidelity(state, "cell2", dx, dp)
     mx, mp = state.mode_mean("cell2")

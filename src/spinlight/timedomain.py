@@ -6,7 +6,8 @@ simulate_pulse integrates the two-cell rotating-frame equations step by step
 (Euler-Maruyama) and extracts the canonical light operators by multiplying
 the simulated photocurrent with cos/sin of the Larmor phase.  pulse_ensemble
 integrates nothing: its rows are z F^T for z ~ N(0, I_8), F the square-root
-factor of the pulse's law (_pulse_map), and F F^T is pulse_covariance.  The
+factor of the pulse's law (_pulse_map), and F F^T is pulse_covariance; its
+chunk j of runs draws z from child (j,) of SeedSequence(seed).  The
 tests close the chain: the Euler integrator equals pulse_covariance to
 round-off at any resolution, and pulse_covariance equals the symplectic
 engine's at whole cycle counts.
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import chunk_map
 from .output import write_csv
 
 #: Default Larmor cycles per pulse: 325 kHz * 2 ms.
@@ -166,22 +166,21 @@ def pulse_ensemble(kappa: float, omega_T: float, n_steps: int, n_runs: int,
     """Monte Carlo over pulses with vacuum atomic input.
 
     Returns an array of shape (n_runs, 6) with columns
-    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), filled in the seeded
-    chunks of spinlight.chunks.  Each row is z F^T for z ~ N(0, I_8),
-    F F^T = pulse_covariance: O(1) cost per run.
+    (x_l1, x_l2, X_A1_out, P_A1, X_A2_out, P_A2), filled in 256-run chunks,
+    chunk j drawn from child (j,) of SeedSequence(seed).  Each row is z F^T
+    for z ~ N(0, I_8), F F^T = pulse_covariance: O(1) cost per run.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     f = _pulse_map(kappa, omega_T, n_steps)
     rows = np.empty((n_runs, 6))
-
-    def chunk(rng: np.random.Generator, start: int, count: int):
+    root = np.random.SeedSequence(seed)
+    for start in range(0, n_runs, _ENSEMBLE_CHUNK):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        count = min(_ENSEMBLE_CHUNK, n_runs - start)
         atoms = rng.standard_normal((count, 4))  # xa1 pa1 xa2 pa2
         noise = rng.standard_normal((4, count))  # xi.c xi.s, zeta.c zeta.s
-        return start, np.hstack([atoms, noise.T]) @ f.T
-
-    for start, block in chunk_map(chunk, n_runs, _ENSEMBLE_CHUNK, np.random.SeedSequence(seed)):
-        rows[start:start + len(block)] = block
+        rows[start:start + count] = np.hstack([atoms, noise.T]) @ f.T
     return rows
 
 

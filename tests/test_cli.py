@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -537,12 +538,19 @@ class TestProtocolCommand:
         assert re.fullmatch(message + r"[^\n]*\n", err)
 
     # each printed numpy warnings, then mean_fidelity = nan, duan_sum_out = nan or (at
-    # 2.27e154, where the covariance's symmetrization overflows) 1.1e154, with exit 0
-    @pytest.mark.parametrize("protocol,kappa2", [("teleport", "1e300"), ("swap", "1e300"),
-                                                 ("swap", "2.27e154")])
-    def test_state_that_overflows_refused(self, capsys, protocol, kappa2):
-        code, out, err = run_cli(capsys, "protocol", "--protocol", protocol,
-                                 "--kappa2", kappa2, "--cycles", "10")
+    # 2.27e154, where the covariance's symmetrization overflows) 1.1e154, with exit 0;
+    # teleport's feedback displacements at --gain 1e308, and its gain at 1e300 over a
+    # subnormal kappa, were refused after a numpy overflow warning
+    @pytest.mark.parametrize("protocol,args", [
+        ("teleport", ("--kappa2", "1e300", "--cycles", "10")),
+        ("swap", ("--kappa2", "1e300", "--cycles", "10")),
+        ("swap", ("--kappa2", "2.27e154", "--cycles", "10")),
+        ("teleport", ("--kappa2", "1", "--cycles", "2", "--gain", "1e308")),
+        ("teleport", ("--kappa2", "1e-320", "--cycles", "3", "--gain", "1e300"))],
+        ids=["teleport-1e300", "swap-1e300", "swap-2.27e154", "teleport-gain-1e308",
+             "teleport-gain-1e300"])
+    def test_state_that_overflows_refused(self, capsys, protocol, args):
+        code, out, err = run_cli(capsys, "protocol", "--protocol", protocol, *args)
         assert code == 1
         assert out == ""
         assert err == "error: the state's mean or covariance is not finite\n"
@@ -702,6 +710,30 @@ class TestParallelDeterminism:
             ref_bytes, ref_out = TestParallelDeterminism._reference
             assert path.read_bytes() == ref_bytes
             assert out == ref_out
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--kappa2", "1", "--beta", "0.65", "--cycles", str(3 * CYCLE_CHUNK), "--out"),
+    ("sweep", "--cycles", "1000", "--out"),
+    ("timedomain", "--seed", "17", "--out"),  # a seed whose gates pass
+    ("protocol", "--protocol", "swap", "--kappa2", "4", "--cycles", "100", "--out"),
+    ("calibrate", "--out")], ids=lambda argv: argv[0])
+def test_no_command_starts_a_thread(monkeypatch, capsys, tmp_path, argv):
+    def outcome(workers):
+        path = tmp_path / f"p{workers}.csv"
+        code = main([*argv, str(path), "--parallel", workers])
+        out, err = capsys.readouterr()
+        return code, out.replace(str(path), "PATH"), err, path.exists() and path.read_bytes()
+
+    serial = outcome("1")
+
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert outcome("4") == serial
+    assert serial[0] == 0
 
 
 class TestSizeBeyondMemory:

@@ -533,11 +533,11 @@ class TestDensitySweep:
             calls.append(args[2])
             return draw(*args)
 
-        def no_chunks(*args):
-            raise AssertionError("density_sweep reached chunk_map")
+        def no_rows(*args):
+            raise AssertionError("density_sweep reached _cycle_rows")
 
         monkeypatch.setattr(spinlight.experiment, "_gram_draw", counted)
-        monkeypatch.setattr(spinlight.experiment, "chunk_map", no_chunks)
+        monkeypatch.setattr(spinlight.experiment, "_cycle_rows", no_rows)
         density_sweep([2.0, 4.0, 6.0], 0.65, n_cycles, seed=45)
         assert calls == [n_cycles] * 3
 
