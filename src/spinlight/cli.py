@@ -21,13 +21,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import experiment, gaussian, physics, protocols, timedomain
-from .output import _fmt, open_output, write_csv
+from .output import _fmt, write_csv
 
 DEFAULT_THETA_GRID = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
-
-
-class UsageError(ValueError):
-    """Bad flags or config content."""
 
 
 @dataclass(frozen=True)
@@ -55,19 +51,19 @@ class RunConfig:
             value = getattr(self, f.name)
             reals = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in reals if isinstance(v, float)):
-                raise UsageError(f"{f.name} must be finite")
+                raise ValueError(f"{f.name} must be finite")
         if self.cycles < 2:
-            raise UsageError("cycles must be >= 2")
+            raise ValueError("cycles must be >= 2")
         if self.seed < 0:
-            raise UsageError("seed must be >= 0")
+            raise ValueError("seed must be >= 0")
         if self.parallel < 1:
-            raise UsageError("parallel must be >= 1")
+            raise ValueError("parallel must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
-            raise UsageError("beta must lie in [0, 1]")
+            raise ValueError("beta must lie in [0, 1]")
         if self.kappa2 is not None and self.kappa2 < 0:
-            raise UsageError("kappa2 must be >= 0")
+            raise ValueError("kappa2 must be >= 0")
         if self.out == "":
-            raise UsageError("out must name a file")
+            raise ValueError("out must name a file")
 
     def physical_params(self) -> physics.PhysicalParams:
         return physics.PhysicalParams(
@@ -107,40 +103,16 @@ def read_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
             if key not in parsers:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = parsers[key](text)
             except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
-
-
-def write_config(config: RunConfig, path: str) -> None:
-    """Emit a config file that read_config parses back to the same run.
-
-    Raises ValueError for a value that read_config would read back
-    differently: an empty tuple, or a string holding '#' or a line break, or
-    with surrounding blanks.
-    """
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if value == () or isinstance(value, str) and (value != value.strip()
-                                                      or any(c in value for c in "#\r\n")):
-            raise ValueError(f"{f.name} = {value!r} would not read back from a config file")
-        if isinstance(value, tuple):
-            value = ",".join(map(_fmt, value))
-        elif isinstance(value, float):
-            value = _fmt(value)
-        lines.append(f"{f.name} = {value}\n")
-    with open_output(path) as fh:
-        fh.write("".join(lines).encode())
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -149,7 +121,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             config = replace(config, **read_config(args.config))
         except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}") from exc
+            raise ValueError(f"cannot read config: {exc}") from exc
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name) is not None}
     config = replace(config, **overrides)
@@ -184,7 +156,7 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     if config.out is None:
-        raise UsageError("sweep requires --out for the CSV")
+        raise ValueError("sweep requires --out for the CSV")
     rows = experiment.density_sweep(config.theta_grid, config.beta,
                                     config.cycles, config.seed)
     experiment.write_sweep_csv(rows, config.out)
@@ -211,7 +183,7 @@ def cmd_timedomain(config: RunConfig) -> int:
 
 def cmd_protocol(config: RunConfig) -> int:
     if config.protocol is None:
-        raise UsageError("--protocol is required (teleport, swap, memory)")
+        raise ValueError("--protocol is required (teleport, swap, memory)")
     kappa2 = config.resolve_kappa2()
     runs = dict(n_runs=config.cycles, seed=config.seed)
     if config.protocol == "teleport":
@@ -221,7 +193,7 @@ def cmd_protocol(config: RunConfig) -> int:
     elif config.protocol == "memory":
         result = protocols.quantum_memory((0.0, 0.0), config.squeeze_r, kappa2, **runs)
     else:
-        raise UsageError(f"unknown protocol {config.protocol!r}")
+        raise ValueError(f"unknown protocol {config.protocol!r}")
 
     print(f"protocol = {config.protocol}")
     print(f"kappa2 = {_fmt(kappa2)}")
@@ -251,7 +223,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

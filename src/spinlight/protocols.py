@@ -95,7 +95,10 @@ def _pair_sum_variances(state: GaussianState, cell_plus: str, cell_minus: str) -
 
 def _ensemble_result(n_runs: int, runs: dict, err_x, err_p, **diagnostics) -> ProtocolResult:
     """Result of a batched run from per-run columns and displacement errors."""
-    error = (float(np.mean(err_x)), float(np.mean(err_p)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range
+        error = (float(np.mean(err_x)), float(np.mean(err_p)))
+    if not np.isfinite(error).all():
+        raise ValueError("the mean displacement error is not finite")
     return ProtocolResult(n_runs, runs, mean_displacement_error=error, **diagnostics)
 
 

@@ -95,6 +95,13 @@ class TestTeleport:
         with pytest.raises(ValueError, match="n_runs must be >= 1"):
             teleport_spin_state((0, 0), 1.0, n_runs=0)
 
+    @pytest.mark.parametrize("seed", [1, 141])
+    def test_mean_error_that_overflows_refused(self, seed):
+        # each run's error is finite; their sum overflowed to inf (seed 1), or to
+        # inf - inf = nan (seed 141), with a numpy RuntimeWarning
+        with pytest.raises(ValueError, match="the mean displacement error is not finite"):
+            teleport_spin_state((0, 0), 100.0, gain=1e307, n_runs=10, seed=seed)
+
 
 class TestSwap:
     def test_negative_coupling_refused(self):
