@@ -26,7 +26,6 @@ from .physics import (
 )
 from .experiment import (
     CycleStats,
-    SweepRow,
     density_sweep,
     duan_spin_check,
     stream_cycle_stats,
@@ -54,7 +53,7 @@ __all__ = [
     "PhysicalParams", "Calibration", "calibrate", "coupling_a",
     "faraday_theta", "kappa2_theory", "kappa2_experimental", "css_variance",
     "beta_from_t2",
-    "CycleStats", "SweepRow", "theory_curves",
+    "CycleStats", "theory_curves",
     "stream_cycle_stats", "duan_spin_check", "density_sweep",
     "PulseTrace", "LockInResult", "simulate_pulse", "shot_noise_scaling",
     "ProtocolResult", "teleport_spin_state", "entanglement_swap",

@@ -97,21 +97,25 @@ def read_config(path: str) -> dict:
     """Parse a flat key = value file; '#' starts a comment."""
     parsers = _field_parsers()
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in parsers:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = parsers[key](text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key not in parsers:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
 
 
@@ -157,10 +161,10 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     if config.out is None:
         raise ValueError("sweep requires --out for the CSV")
-    rows = experiment.density_sweep(config.theta_grid, config.beta,
-                                    config.cycles, config.seed)
-    experiment.write_sweep_csv(rows, config.out)
-    print(f"wrote {len(rows)} sweep rows to {config.out}")
+    columns = experiment.density_sweep(config.theta_grid, config.beta,
+                                       config.cycles, config.seed)
+    write_csv(config.out, columns, [columns.values()])
+    print(f"wrote {len(config.theta_grid)} sweep rows to {config.out}")
     return 0
 
 

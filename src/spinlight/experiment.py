@@ -22,7 +22,7 @@ each draw from a child of SeedSequence(seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,27 +52,6 @@ class CycleStats:
     kappa2: float
     beta: float
     calibration_ok: bool
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One atomic-density point of a projection-noise / entanglement sweep.
-
-    Noise columns are shot-subtracted and shot-normalized; theory columns are
-    given in the same presentation (conditional variance minus the shot
-    unit).  The *_ideal columns are the no-decoherence (beta = 1) overlay.
-    """
-
-    theta_deg: float
-    kappa2: float
-    pn1: float
-    pn2: float
-    cond_var_minus_shot: float
-    alpha_star: float
-    theory_cond: float
-    theory_alpha: float
-    theory_cond_ideal: float
-    theory_alpha_ideal: float
 
 
 def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarray:
@@ -172,8 +151,8 @@ def theory_curves(kappa2: float, beta: float) -> tuple[float, float]:
 
 def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     """Variances, the optimal weight and the entanglement verdict from the
-    pooled Gram matrix S of n cycles: S11 = sum(a1^2 + b1^2), S12 =
-    sum(a1 a2 + b1 b2) and S22 = sum(a2^2 + b2^2).
+    pooled Gram matrix W of n cycles: W11 = sum(a1^2 + b1^2), W12 =
+    sum(a1 a2 + b1 b2) and W22 = sum(a2^2 + b2^2).
 
     alpha* = sum(a1 a2 + b1 b2) / sum(a1^2 + b1^2) minimizes the pooled
     conditional variance: one weight shared by both lock-in channels.  Pulse
@@ -185,11 +164,11 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     pulse fails calibration (the bound's premise) or 1 + kappa2 rounds to 1.
 
     cond_var is refused when it does not exceed its rounding bound, 3 eps
-    (var2 + 3 alpha^2 var1), 3 eps (S22 + |2 alpha S12| + alpha^2 S11) / (n - 1):
-    2 eps for the four roundings of eps/2 per term of its evaluation from S,
-    eps for S's entries' own, one rounding each in S11 and S12 and two in S22
+    (var2 + 3 alpha^2 var1), 3 eps (W22 + |2 alpha W12| + alpha^2 W11) / (n - 1):
+    2 eps for the four roundings of eps/2 per term of its evaluation from W,
+    eps for W's entries' own, one rounding each in W11 and W12 and two in W22
     (_gram_draw's 2x2 product).  cond_var is evaluated halved, which moves no
-    bit: alpha S12 <= S22, so neither it nor its bound overflows where var1 and
+    bit: alpha W12 <= W22, so neither it nor its bound overflows where var1 and
     var2 do not, and a refusal names lost digits or an overflow, whichever it is.
     """
     if n < 2:
@@ -221,7 +200,7 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
 def stream_cycle_stats(kappa2: float, beta: float, n_cycles: int, seed: int,
                        out: str | None = None) -> CycleStats:
     """CycleStats of n_cycles measurement cycles, from the pooled Gram matrix
-    W that _gram_draw draws, as density_sweep does: O(1) at any n_cycles.
+    W that _gram_draw draws: O(1) at any n_cycles; density_sweep calls it per point.
 
     With `out`, the cycles of _cycle_rows, whose pooled Gram matrix is W, go
     to a cycle_index, a1, b1, a2, b2 CSV in one pass.  Raises ValueError when
@@ -324,11 +303,14 @@ def cross_engine_rows(kappa2: float, n_runs: int, seed: int
 
 
 def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
-                  seed: int) -> list[SweepRow]:
-    """Scan atomic density via the Faraday angle; kappa^2 = 0.10 theta per point.
+                  seed: int) -> dict[str, np.ndarray]:
+    """The sweep CSV's columns, in CSV order: one row per Faraday angle theta,
+    kappa^2 = 0.10 theta, with the statistics of stream_cycle_stats at that
+    point, seeded by the point's entry of SeedSequence(seed).generate_state.
 
-    Emits shot-subtracted noise columns plus the decoherence-model and ideal
-    overlays.
+    Noise columns are shot-subtracted and shot-normalized; theory columns are
+    given in the same presentation (conditional variance minus the shot
+    unit).  The *_ideal columns are the no-decoherence (beta = 1) overlay.
     """
     if len(theta_list) == 0:
         raise ValueError("theta grid must be nonempty")
@@ -338,23 +320,15 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
     rows = []
     for theta, row_seed in zip(theta_list, row_seeds):
         kappa2 = kappa2_experimental(theta)
-        stats = _stats(_gram_draw(kappa2, beta, n_cycles, int(row_seed)), n_cycles, kappa2, beta)
+        stats = stream_cycle_stats(kappa2, beta, n_cycles, int(row_seed))
         cond_model, alpha_model = theory_curves(kappa2, beta)
         cond_ideal, alpha_ideal = theory_curves(kappa2, 1.0)
-        rows.append(SweepRow(
-            theta_deg=float(theta), kappa2=kappa2,
-            pn1=stats.var1 - 1.0, pn2=stats.var2 - 1.0,
-            cond_var_minus_shot=stats.cond_var - 1.0,
-            alpha_star=stats.alpha_star,
-            theory_cond=cond_model - 1.0, theory_alpha=alpha_model,
-            theory_cond_ideal=cond_ideal - 1.0, theory_alpha_ideal=alpha_ideal))
-    return rows
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
-    """SweepRow columns in declared order."""
-    names = [f.name for f in fields(SweepRow)]
-    write_csv(path, names, [np.array([[getattr(row, name) for row in rows] for name in names])])
+        rows.append((theta, kappa2, stats.var1 - 1.0, stats.var2 - 1.0, stats.cond_var - 1.0,
+                     stats.alpha_star, cond_model - 1.0, alpha_model,
+                     cond_ideal - 1.0, alpha_ideal))
+    names = ("theta_deg", "kappa2", "pn1", "pn2", "cond_var_minus_shot", "alpha_star",
+             "theory_cond", "theory_alpha", "theory_cond_ideal", "theory_alpha_ideal")
+    return dict(zip(names, np.array(rows, dtype=float).T))
 
 
 def summary_text(stats: CycleStats) -> str:

@@ -579,15 +579,6 @@ class TestProtocolCommand:
         assert parse_kv(out)["mean_fidelity"] == "0"
         assert err == ""
 
-    def test_unknown_protocol(self, capsys):
-        code, _, err = run_cli(capsys, "protocol", "--protocol", "warp")
-        assert code == 1
-        assert "unknown protocol" in err
-
-    def test_missing_protocol_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "protocol")
-        assert code == 1
-
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
@@ -671,16 +662,21 @@ class TestConfig:
         (("run", "--config", "{missing}"), "cannot read config: "),
         (("run", "--config", "{no_equals}"), "{no_equals}:1: expected 'key = value'"),
         (("run", "--config", "{unknown_key}"), "{unknown_key}:2: unknown key 'bogus'"),
+        (("run", "--config", "{not_utf8}"),
+         "{not_utf8}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (("sweep",), "sweep requires --out for the CSV"),
         (("protocol",), "--protocol is required (teleport, swap, memory)"),
         (("protocol", "--protocol", "warp"), "unknown protocol 'warp'")],
         ids=["bad-int", "unknown-flag", "unknown-command", "unreadable-config", "line-without-=",
-             "unknown-key", "sweep-without-out", "protocol-without-name", "unknown-protocol"])
+             "unknown-key", "not-utf-8", "sweep-without-out", "protocol-without-name",
+             "unknown-protocol"])
     def test_usage_errors_print_one_line(self, capsys, tmp_path, argv, message):
         paths = {"missing": str(tmp_path / "missing.cfg"), "no_equals": str(tmp_path / "bad.cfg"),
-                 "unknown_key": str(tmp_path / "unknown.cfg")}
+                 "unknown_key": str(tmp_path / "unknown.cfg"),
+                 "not_utf8": str(tmp_path / "utf16.cfg")}
         (tmp_path / "bad.cfg").write_text("kappa2 2.0\n")
         (tmp_path / "unknown.cfg").write_text("kappa2 = 1\nbogus = 3\n")
+        (tmp_path / "utf16.cfg").write_bytes("\ufeffkappa2 = 1\n".encode("utf-16-le"))
         code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert (code, out) == (1, "")
         assert err.startswith("error: " + message.format(**paths))

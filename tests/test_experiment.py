@@ -1,7 +1,6 @@
 """Measurement-cycle Monte Carlo, statistics, verdicts, density sweep."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from spinlight.experiment import (
     stream_cycle_stats,
     summary_text,
     theory_curves,
-    write_sweep_csv,
 )
 from spinlight.gaussian import apply_beta_decay, apply_qnd, vacuum_state
 from spinlight.output import CSV_BLOCK_ROWS, write_csv
@@ -480,31 +478,44 @@ class TestCalibrationIdentity:
 
 class TestDensitySweep:
     def test_zero_angle_row(self):
-        row, = density_sweep([0.0], 0.65, 20_000, seed=41)
-        assert row.kappa2 == 0.0
-        assert row.pn1 == pytest.approx(0.0, abs=0.05)
-        assert row.cond_var_minus_shot == pytest.approx(0.0, abs=0.05)
+        columns = density_sweep([0.0], 0.65, 20_000, seed=41)
+        assert columns["kappa2"][0] == 0.0
+        assert columns["pn1"][0] == pytest.approx(0.0, abs=0.05)
+        assert columns["cond_var_minus_shot"][0] == pytest.approx(0.0, abs=0.05)
 
     def test_projection_noise_slope(self):
         grid = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
-        rows = density_sweep(grid, 0.65, N, seed=1)
-        slope = np.polyfit([r.theta_deg for r in rows], [r.pn1 for r in rows], 1)[0]
+        columns = density_sweep(grid, 0.65, N, seed=1)
+        slope = np.polyfit(columns["theta_deg"], columns["pn1"], 1)[0]
         assert slope == pytest.approx(0.10, rel=0.05)
         # verifying pulse carries the same noise as the entangling pulse
-        for row in rows:
-            assert row.pn2 == pytest.approx(row.pn1, abs=0.05 * (1 + row.kappa2))
+        for pn1, pn2, kappa2 in zip(columns["pn1"], columns["pn2"], columns["kappa2"]):
+            assert pn2 == pytest.approx(pn1, abs=0.05 * (1 + kappa2))
         # conditional rows sit clearly below the projection-noise line
-        for row in rows:
-            assert row.cond_var_minus_shot < row.pn1
+        for pn1, cond in zip(columns["pn1"], columns["cond_var_minus_shot"]):
+            assert cond < pn1
 
     def test_theory_columns(self):
-        row, = density_sweep([10.0], 0.65, 1000, seed=43)
+        columns = density_sweep([10.0], 0.65, 1000, seed=43)
         cond, alpha = theory_curves(1.0, 0.65)
-        assert row.theory_cond == pytest.approx(cond - 1.0)
-        assert row.theory_alpha == pytest.approx(alpha)
+        assert columns["theory_cond"][0] == pytest.approx(cond - 1.0)
+        assert columns["theory_alpha"][0] == pytest.approx(alpha)
         cond1, alpha1 = theory_curves(1.0, 1.0)
-        assert row.theory_cond_ideal == pytest.approx(cond1 - 1.0)
-        assert row.theory_alpha_ideal == pytest.approx(alpha1)
+        assert columns["theory_cond_ideal"][0] == pytest.approx(cond1 - 1.0)
+        assert columns["theory_alpha_ideal"][0] == pytest.approx(alpha1)
+
+    def test_each_point_is_a_run(self):
+        # a point's columns are stream_cycle_stats at its seed, bit for bit
+        grid, beta, n = (0.0, 2.0, 40.0, 1e3), 0.65, 300_000
+        columns = density_sweep(grid, beta, n, seed=46)
+        row_seeds = np.random.SeedSequence(46).generate_state(len(grid), np.uint64)
+        names = ("theta_deg", "kappa2", "pn1", "pn2", "cond_var_minus_shot", "alpha_star")
+        for i, (theta, row_seed) in enumerate(zip(grid, row_seeds)):
+            kappa2 = kappa2_experimental(theta)
+            stats = stream_cycle_stats(kappa2, beta, n, int(row_seed))
+            assert [columns[name][i] for name in names] == [
+                theta, kappa2, stats.var1 - 1.0, stats.var2 - 1.0, stats.cond_var - 1.0,
+                stats.alpha_star]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -520,8 +531,8 @@ class TestDensitySweep:
 
     @pytest.mark.parametrize("n_cycles", [2, 3, 4, 5, 4097, 8195])
     def test_short_last_chunks_give_finite_rows(self, n_cycles):
-        rows = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44)
-        assert all(np.isfinite(astuple(row)).all() for row in rows)
+        columns = density_sweep([0.0, 10.0], 0.65, n_cycles, seed=44)
+        assert all(np.isfinite(column).all() for column in columns.values())
 
     @pytest.mark.parametrize("n_cycles", [5 * CYCLE_CHUNK + 3, 10**12])
     def test_one_gram_draw_per_point(self, monkeypatch, n_cycles):
@@ -578,8 +589,9 @@ class TestSamplingLaws:
                                                   (4, 2000), (2, 2000), (10**12, 200)])
     def test_density_sweep(self, n_cycles, n_seeds):
         def stats_of(thetas, beta, n, seed):
-            return [(row.kappa2, row.pn1 + 1.0, row.cond_var_minus_shot + 1.0, row.alpha_star)
-                    for row in density_sweep(thetas, beta, n, seed)]
+            columns = density_sweep(thetas, beta, n, seed)
+            return list(zip(columns["kappa2"], columns["pn1"] + 1.0,
+                            columns["cond_var_minus_shot"] + 1.0, columns["alpha_star"]))
 
         self.check(stats_of, n_cycles, n_seeds)
 
@@ -616,9 +628,9 @@ class TestOutputs:
         assert float(cells[1]) == rows[4, 0]  # 17 significant digits round-trip
 
     def test_sweep_csv(self, tmp_path):
-        rows = density_sweep([2.0, 4.0], 0.65, 500, seed=52)
+        columns = density_sweep([2.0, 4.0], 0.65, 500, seed=52)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, str(path))
+        write_csv(str(path), columns, [columns.values()])
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:4] == ["theta_deg", "kappa2", "pn1", "pn2"]
         assert len(lines) == 3
