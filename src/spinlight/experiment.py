@@ -76,14 +76,13 @@ def _gram_draw(kappa2: float, beta: float, n_cycles: int, seed: int) -> np.ndarr
         raise ValueError("n_cycles must be below 2**63")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
-    r00, r01, r11 = _root(h, g, h)
-    factor = np.array([[r00, 0.0], [r01, r11]])  # R^T, S's Cholesky factor
+    r00, r01, r11 = _root(h, g, h)  # R^T = [[r00, 0], [r01, r11]], S's Cholesky factor
     # float dof: 2 * n_cycles overflows int64 from n_cycles = 2**62
-    bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n_cycles - np.arange(2))))
-    bartlett[1, 0] = rng.standard_normal()
+    (a00, a11), a10 = np.sqrt(rng.chisquare(2.0 * n_cycles - np.arange(2))), rng.standard_normal()
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        half = factor @ bartlett
-        gram = half @ half.T
+        # W = (R^T A)(R^T A)^T in scalars: a BLAS kernel would choose the rounding
+        h00, h10, h11 = r00 * a00, r01 * a00 + r11 * a10, r11 * a11
+        gram = np.array([[h00 * h00, h00 * h10], [h00 * h10, h10 * h10 + h11 * h11]])
     if not np.isfinite(gram).all():
         raise ValueError(f"the outcome sums at kappa2 = {_fmt(kappa2)} are not finite")
     return gram
@@ -167,9 +166,10 @@ def _stats(gram: np.ndarray, n: int, kappa2: float, beta: float) -> CycleStats:
     (var2 + 3 alpha^2 var1), 3 eps (W22 + |2 alpha W12| + alpha^2 W11) / (n - 1):
     2 eps for the four roundings of eps/2 per term of its evaluation from W,
     eps for W's entries' own, one rounding each in W11 and W12 and two in W22
-    (_gram_draw's 2x2 product).  cond_var is evaluated halved, which moves no
-    bit: alpha W12 <= W22, so neither it nor its bound overflows where var1 and
-    var2 do not, and a refusal names lost digits or an overflow, whichever it is.
+    (_gram_draw's h10^2 + h11^2: the two squares, both >= 0, round as one).
+    cond_var is evaluated halved, which moves no bit: alpha W12 <= W22, so
+    neither it nor its bound overflows where var1 and var2 do not, and a
+    refusal names lost digits or an overflow, whichever it is.
     """
     if n < 2:
         raise ValueError("need at least two cycles")
@@ -326,6 +326,8 @@ def density_sweep(theta_list: Sequence[float], beta: float, n_cycles: int,
         rows.append((theta, kappa2, stats.var1 - 1.0, stats.var2 - 1.0, stats.cond_var - 1.0,
                      stats.alpha_star, cond_model - 1.0, alpha_model,
                      cond_ideal - 1.0, alpha_ideal))
+        if not np.isfinite(rows[-1]).all():  # theory_cond overflows past kappa2 ~ 1e154, beta < 1
+            raise ValueError(f"the sweep columns at kappa2 = {_fmt(kappa2)} are not finite")
     names = ("theta_deg", "kappa2", "pn1", "pn2", "cond_var_minus_shot", "alpha_star",
              "theory_cond", "theory_alpha", "theory_cond_ideal", "theory_alpha_ideal")
     return dict(zip(names, np.array(rows, dtype=float).T))

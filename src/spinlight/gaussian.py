@@ -136,16 +136,13 @@ def _linear_map(state: GaussianState, block: np.ndarray, modes: Sequence[ModeRef
                 noise: np.ndarray | None = None) -> GaussianState:
     """mean -> X mean, cov -> X cov X^T (+ noise on the block of ``modes``), where X is
     ``block`` on the (X, P) pairs of ``modes``, in order, and the identity elsewhere."""
-    idx = []
-    for m in modes:
-        i = state.x_index(m)
-        idx.extend((i, i + 1))
+    idx = [q for m in modes for q in (state.x_index(m), state.p_index(m))]
     full = np.eye(2 * state.n_modes)
     full[np.ix_(idx, idx)] = block
-    # one (runs, 2n) x (2n, 2n) product beats gathering the touched columns
+    # einsum without optimize never calls BLAS, whose kernel would choose the pinned bytes
     with np.errstate(over="ignore", invalid="ignore"):  # _new_state refuses what overflows
-        mean = state.mean @ full.T
-        cov = full @ state.cov @ full.T
+        mean = np.einsum("ij,...j->...i", full, state.mean)
+        cov = np.einsum("ij,jk,lk->il", full, state.cov, full)
     if noise is not None:
         cov[np.ix_(idx, idx)] += noise
     return _new_state(state.labels, mean, cov)
@@ -271,15 +268,17 @@ def coherent_fidelity(state: GaussianState, mode: ModeRef, target_x, target_p):
     det(Sigma + I/2) >= 1, so F <= 1; a det below 1 beyond round-off (1e-9)
     raises InvariantViolation.
     """
-    sigma = state.mode_cov(mode) + VACUUM_VAR * np.eye(2)
-    mx, mp = state.mode_mean(mode)
-    delta = np.stack(np.broadcast_arrays(mx - target_x, mp - target_p), axis=-1)
-    det = float(np.linalg.det(sigma))
+    (a, b), (_, d) = state.mode_cov(mode) + VACUUM_VAR * np.eye(2)  # Sigma + I/2
+    det = float(a * d - b * b)
     if det < 1.0 - 1e-9:
         raise InvariantViolation(f"unphysical reduced covariance: det(Sigma + I/2) = {det:.3g} < 1")
+    mx, mp = state.mode_mean(mode)
+    dx, dp = mx - target_x, mp - target_p
     with np.errstate(over="ignore"):  # quad = inf only where exp(-quad / 2) is 0 anyway
-        quad = np.sum(delta * (delta @ np.linalg.inv(sigma)), axis=-1)
-    return np.exp(-0.5 * quad) / np.sqrt(det)
+        # delta^T (Sigma + I/2)^-1 delta as two squares: no cancellation, no inf - inf
+        quad = (d / det) * np.square(dx - (b / d) * dp) + np.square(dp) / d
+    # float64 np.exp rounds by numpy's SIMD path or glibc's FMA variant; x87 expl does not
+    return np.exp(np.longdouble(-0.5) * quad).astype(float) / np.sqrt(det)
 
 
 def validate(state: GaussianState) -> None:

@@ -245,7 +245,8 @@ class TestRun:
         ("run", "--kappa2", "1e308", "--cycles", "100"),
         ("run", "--kappa2", "6e304", "--cycles", "8192"),
         ("sweep", "--theta-grid", "2,1e308", "--cycles", "100"),
-        ("timedomain", "--kappa2", "1e308", "--cycles", "100")])  # the sample covariance overflows
+        ("timedomain", "--kappa2", "1e308", "--cycles", "100"),  # the sample covariance overflows
+        ("sweep", "--theta-grid", "2,1e201", "--beta", "0.65", "--cycles", "100")])  # theory_cond
     def test_refusal_prints_one_stderr_line(self, tmp_path, argv, workers):
         # in a fresh interpreter, so stderr holds whatever numpy would warn
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
@@ -358,21 +359,32 @@ class TestSweep:
         assert "not finite" in err
         assert not path.exists()
 
+    def test_overflowing_theory_refused(self, capsys, tmp_path):
+        # kappa2 (1 + (1 - beta^2) kappa2) overflows at kappa2 = 1e200, where the
+        # statistics are finite: the row was written with theory_cond = inf, exit 0
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--theta-grid", "2,1e201", "--beta", "0.65",
+                                 "--cycles", "100", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: the sweep columns at kappa2 = 1.0000000000000001e+200 are not finite\n"
+        assert not path.exists()
+
     def test_csv_bytes_pinned(self, capsys, tmp_path):
         # one pooled Gram matrix drawn per point, of all 16386 cycles: a change
-        # to that stream is a deliberate edit of this digest
+        # to that stream is a deliberate edit of this digest.  W is scalar
+        # arithmetic, not BLAS, so no machine's kernel moves these bytes
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "sweep", "--theta-grid", "2,4,6", "--cycles", "16386",
                              "--seed", "5", "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "3eff22d504358d60ab0743d352fa61c36b80c01e51d26557c6c23c1639b8bdca")
+            "5adb8ea50b21a1a3bbe965ef69d0a2c004018cff0c441e4b9f87ff2d387361c0")
 
     @pytest.mark.parametrize("cycles,digest", [
         # one chunk's pooled Gram matrix, at a full chunk and at 3 cycles,
         # where the Bartlett factor's last diagonal is sqrt(chi2(5))
-        ("4096", "add861e565a6a21b4630efca235e37512b1af51ccb368b133da5ddfac4f41070"),
-        ("3", "6bb74820b1d1b61845b536838bf7049a9d7ba87241f150b97f7966b9c30748f8"),
+        ("4096", "6ce4e360698e53eff42a5b6f2142860cfb18a3222afd518448cef66cb14350eb"),
+        ("3", "5a85cc974d26ff29d1365b2d6d3279815443cde509ad072567175a852fe8d0ce"),
     ], ids=["4096", "3"])
     def test_one_chunk_csv_bytes_pinned(self, capsys, tmp_path, cycles, digest):
         path = tmp_path / "sweep.csv"
@@ -502,13 +514,15 @@ class TestProtocolCommand:
         assert lines[0].startswith("run_index,a1,b1")
         assert len(lines) == 21
 
+    # the engine's linear map is an einsum and the fidelity's exp is x87 expl, so
+    # no BLAS kernel and no numpy or glibc code path of the machine moves these bytes
     @pytest.mark.parametrize("argv,digest", [
         (("teleport", "--kappa2", "4", "--gain", "0.8"),
-         "72e5e96110b52ce5612cd21645860bcb9a2b3b74c128993d816553f8e828e2fc"),
+         "fb2808cfe47749eb4123d026c411f2705719cbcec3a0d9fe9c3b3b253786d8f7"),
         (("swap", "--kappa2", "4"),
-         "d059205256042b6eac257b3728909bacbe2f9570723a5c96db758356daab8ed2"),
+         "6bd242da79d6cbd88e997f7b2098477a7d4f8593f535ad95b4e5f02202de26c3"),
         (("memory", "--kappa2", "100", "--squeeze-r", "0.5"),
-         "d73e65acfc6998d513cc050b1362321df52e688d5fc6c0ef4d1306da02052633"),
+         "f232ab9f0afe476df0f697259ea73e6b22dd4ae97e600bcfec8e3388b1ca8e4b"),
     ], ids=["teleport", "swap", "memory"])
     def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
         path = tmp_path / "runs.csv"

@@ -70,11 +70,11 @@ def reference_cycles(kappa2, beta, n, seed):
 
     rng = stream(0)
     h, g = (1.0 + kappa2) / 2.0, kappa2 * beta / 2.0
-    low = np.array([[np.sqrt(h), 0.0], [g / np.sqrt(h), np.sqrt(h - g * (g / h))]])
-    bartlett = np.diag(np.sqrt(rng.chisquare(2.0 * n - np.arange(2))))
-    bartlett[1, 0] = rng.standard_normal()
-    half = low @ bartlett
-    gram = half @ half.T
+    l00, l10, l11 = np.sqrt(h), g / np.sqrt(h), np.sqrt(h - g * (g / h))  # L, lower
+    a00, a11 = np.sqrt(rng.chisquare(2.0 * n - np.arange(2)))  # A, lower
+    a10 = rng.standard_normal()
+    h00, h10, h11 = l00 * a00, l10 * a00 + l11 * a10, l11 * a11  # L A, lower
+    gram = np.array([[h00 * h00, h00 * h10], [h10 * h00, h10 * h10 + h11 * h11]])
 
     starts = range(0, n, CYCLE_CHUNK)
     counts = np.array([min(CYCLE_CHUNK, n - start) for start in starts], dtype=float)

@@ -274,6 +274,56 @@ def reference_beta_decay(state, mode, beta):
     return mean, 0.5 * (cov + cov.T)
 
 
+def random_symplectic(rng, k):
+    """A (2k, 2k) symplectic matrix in mode-major order: twice, a 2x2 block of
+    determinant 1 on each mode, then a QND coupling of each pair of modes."""
+    smat = np.eye(2 * k)
+    for _ in range(2):
+        for m in range(k):
+            a, b, c = np.exp(rng.uniform(-1.0, 1.0)), rng.normal(), rng.normal()
+            step = np.eye(2 * k)
+            step[2 * m:2 * m + 2, 2 * m:2 * m + 2] = [[a, b], [c, (1.0 + b * c) / a]]
+            smat = step @ smat
+        for m in range(k):
+            for o in range(m + 1, k):
+                step = np.eye(2 * k)
+                step[2 * m, 2 * o + 1] = step[2 * o, 2 * m + 1] = rng.normal()
+                smat = step @ smat
+    return smat
+
+
+class TestLinearMap:
+    @given(n=st.integers(1, 4), k=st.integers(1, 3), runs=st.sampled_from([None, 1, 5]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_symplectic_is_the_full_product(self, n, k, runs, seed):
+        # the same linear map as the full (2n, 2n) matrix X's products x X^T and
+        # X sigma X^T, by BLAS.  A sum of m roundings lies within about m eps / 2 of
+        # the sum of its terms' magnitudes (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., sec. 3.1), which the row norms bound: 2n
+        # roundings each way for the mean; for sigma, 4n^2 + 2 in one sum of
+        # triple products, 4n in two products, and one in each symmetrization
+        rng = np.random.default_rng(seed)
+        modes = [int(m) for m in rng.permutation(n)[:min(k, n)]]
+        smat = random_symplectic(rng, len(modes))
+        mean = rng.normal(size=(() if runs is None else (runs,)) + (2 * n,))
+        a = rng.normal(size=(2 * n, 2 * n))
+        cov = a @ a.T + VACUUM_VAR * np.eye(2 * n)
+        state = GaussianState(tuple(f"m{j}" for j in range(n)), mean, 0.5 * (cov + cov.T))
+        out = apply_symplectic(state, smat, modes)
+        idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+        full = np.eye(2 * n)
+        full[np.ix_(idx, idx)] = smat
+        eps = np.finfo(float).eps
+        rows = np.linalg.norm(full, axis=1)
+        mean_scale = np.linalg.norm(mean, axis=-1)[..., None] * rows
+        assert (np.abs(out.mean - mean @ full.T) <= (2 * n + 1) * eps * mean_scale).all()
+        cov_scale = np.outer(rows, rows) * np.linalg.norm(state.cov)
+        want = full @ state.cov @ full.T
+        want = 0.5 * (want + want.T)
+        assert (np.abs(out.cov - want) <= (2 * n * n + 2 * n + 3) * eps * cov_scale).all()
+
+
 def _entangled_pair(kappa: float) -> "GaussianState":
     state = vacuum_state(2, ["pair_a", "pair_b"])
     rng = np.random.default_rng(0)
@@ -331,6 +381,21 @@ class TestHelpers:
         displaced = displace(vacuum_state(1), 0, 1.0, 0.0)
         fid = coherent_fidelity(displaced, 0, 0.0, 0.0)
         assert fid == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_coherent_fidelity_is_the_matrix_form(self, seed, scale):
+        # the closed 2x2 form against det and inv: the quadratic form moves by
+        # a few eps cond(Sigma + I/2) of itself, and F by half that times quad
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, 2))
+        mean = scale * rng.normal(size=(3, 2))
+        state = GaussianState(("m0",), mean, a @ a.T + VACUUM_VAR * np.eye(2))
+        sigma = state.cov + VACUUM_VAR * np.eye(2)
+        quad = np.einsum("ri,ij,rj->r", mean, np.linalg.inv(sigma), mean)
+        want = np.exp(-0.5 * quad) / np.sqrt(np.linalg.det(sigma))
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(sigma) * (1.0 + quad) * want
+        assert (np.abs(coherent_fidelity(state, 0, 0.0, 0.0) - want) <= tol).all()
 
     def test_coherent_fidelity_refuses_sub_vacuum_noise(self):
         # det(Sigma + I/2) = 0.36 gave F = 1/0.6 = 1.67

@@ -255,9 +255,9 @@ def test_run_csv_bytes_pinned(tmp_path, capsys):
     """The run CSV hashes to what per-value formatting wrote.
 
     Its columns come from PCG64 draws and correctly rounded sqrt, quotients,
-    elementwise products and numpy sums; the one BLAS input is W itself, the
-    2x2 product in experiment._gram_draw, as for sweep.  So the bytes hold
-    wherever numpy draws the same numbers, at any --parallel and BLAS threads.
+    elementwise products and numpy sums, and so does W, written out as scalar
+    products in experiment._gram_draw, as for sweep: no BLAS call.  So the
+    bytes hold wherever numpy draws the same numbers, under any BLAS kernel.
     """
     path = tmp_path / "cycles.csv"
     assert main(["run", "--kappa2", "1", "--beta", "0.65", "--cycles", "12305",
